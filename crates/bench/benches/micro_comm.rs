@@ -1,9 +1,8 @@
 //! Micro-benchmarks for the communication substrate: the simulated
-//! AllReduce arithmetic at model scale, and the real threaded rendezvous
-//! AllReduce.
+//! AllReduce arithmetic at model scale.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fda_comm::{SimNetwork, ThreadedReducer};
+use fda_comm::SimNetwork;
 use std::time::Duration;
 
 fn bench_comm(c: &mut Criterion) {
@@ -20,25 +19,6 @@ fn bench_comm(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("threaded_allreduce_k4_n16384", |b| {
-        b.iter(|| {
-            let r = ThreadedReducer::new(4);
-            let outs: Vec<Vec<f32>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..4)
-                    .map(|id| {
-                        let r = r.clone();
-                        scope.spawn(move || {
-                            let mut buf = vec![id as f32; 16_384];
-                            r.allreduce(&mut buf);
-                            buf
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            black_box(outs);
-        })
-    });
     g.finish();
 }
 

@@ -66,7 +66,7 @@ impl std::error::Error for CodecError {}
 
 /// A lossy vector codec over real byte buffers, with exact wire-size
 /// accounting and hostile-input-safe decoding.
-pub trait Codec: Send {
+pub trait Codec: Send + Sync {
     /// Codec name for reports.
     fn name(&self) -> &'static str;
 

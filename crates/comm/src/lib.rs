@@ -13,15 +13,13 @@
 //! * [`cost::Environment`] — wall-time models for the three deployment
 //!   regimes of Figure 12 (FL at 0.5 Gbps, Balanced, ARIS-HPC InfiniBand),
 //!   used to translate (bytes, steps) into time and pick Θ.
-//! * [`threaded::ThreadedReducer`] — a real rendezvous AllReduce across OS
-//!   threads (std scoped threads + mutex/condvar rendezvous), proving the
-//!   protocol works under true concurrency; tests cross-validate it
-//!   against the simulator.
+//! * [`compress`] — the payload codecs (dense, uniform-8bit, top-k,
+//!   drift-mask) and the delta downlink, shared by the simulator and the
+//!   TCP runtime.
 
 pub mod compress;
 pub mod cost;
 pub mod sim;
-pub mod threaded;
 
 pub use compress::{
     apply_delta_downlink, delta_downlink, Codec, CodecError, CodecSpec, Dense32, DownlinkSpec,
@@ -29,4 +27,3 @@ pub use compress::{
 };
 pub use cost::{AccountingMode, Environment};
 pub use sim::SimNetwork;
-pub use threaded::ThreadedReducer;

@@ -23,6 +23,8 @@ pub struct SimNetwork {
     k: usize,
     mode: AccountingMode,
     per_worker: Vec<TrafficStats>,
+    /// Traffic of finished membership eras (see [`SimNetwork::set_workers`]).
+    banked: TrafficStats,
 }
 
 impl SimNetwork {
@@ -42,6 +44,25 @@ impl SimNetwork {
             k,
             mode,
             per_worker: vec![TrafficStats::default(); k],
+            banked: TrafficStats::default(),
+        }
+    }
+
+    /// Moves the fabric to `k` workers — a membership change. The finished
+    /// era's traffic stays in the totals; per-worker counters restart for
+    /// the new era. A no-op when `k` is unchanged.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn set_workers(&mut self, k: usize) {
+        assert!(k >= 1, "network: need at least one worker");
+        if k != self.k {
+            self.banked = TrafficStats {
+                bytes: self.total_bytes(),
+                messages: self.total_messages(),
+            };
+            self.k = k;
+            self.per_worker = vec![TrafficStats::default(); k];
         }
     }
 
@@ -143,15 +164,15 @@ impl SimNetwork {
     /// Total bytes transmitted by all workers — the paper's communication
     /// metric.
     pub fn total_bytes(&self) -> u64 {
-        self.per_worker.iter().map(|s| s.bytes).sum()
+        self.banked.bytes + self.per_worker.iter().map(|s| s.bytes).sum::<u64>()
     }
 
     /// Total AllReduce participations summed over workers.
     pub fn total_messages(&self) -> u64 {
-        self.per_worker.iter().map(|s| s.messages).sum()
+        self.banked.messages + self.per_worker.iter().map(|s| s.messages).sum::<u64>()
     }
 
-    /// Traffic of a single worker.
+    /// Traffic of a single worker in the current membership era.
     pub fn worker_stats(&self, k: usize) -> &TrafficStats {
         &self.per_worker[k]
     }
@@ -159,6 +180,7 @@ impl SimNetwork {
     /// Resets the counters.
     pub fn reset(&mut self) {
         self.per_worker = vec![TrafficStats::default(); self.k];
+        self.banked = TrafficStats::default();
     }
 }
 

@@ -16,6 +16,7 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::monitor::{LocalState, VarianceMonitor};
+use crate::round::{evaluate, RoundEngine};
 use fda_data::TaskData;
 use fda_tensor::{vector, Rng};
 
@@ -37,14 +38,15 @@ pub struct AsyncRunReport {
 /// Coordinator-based asynchronous FDA.
 pub struct AsyncFda {
     cluster: Cluster,
-    monitor: Box<dyn VarianceMonitor>,
-    theta: f32,
+    /// The monitor, Θ and the consensus pair `w_t0` (only its decision
+    /// rule and consensus bookkeeping are used: the async coordinator
+    /// charges point-to-point pushes, not AllReduces).
+    engine: RoundEngine,
     /// Per-worker step durations in virtual seconds (stragglers = larger).
     step_times: Vec<f64>,
-    w_sync: Vec<f32>,
     latest_states: Vec<Option<LocalState>>,
     /// The state of a zero drift, cached at construction: workers that have
-    /// not reported since the last sync still hold `w_sync`, and their
+    /// not reported since the last sync still hold the consensus, and their
     /// summary is the same for every monitor instant (a zero drift sketches
     /// to zeros and projects to zero), so the coordinator reuses this
     /// instead of allocating a `d`-sized zero vector per arrival.
@@ -70,7 +72,6 @@ impl AsyncFda {
         cluster_config: ClusterConfig,
         task: &TaskData,
     ) -> AsyncFda {
-        assert!(theta >= 0.0, "async fda: Θ must be non-negative");
         assert!(straggler_spread >= 0.0, "async fda: spread must be >= 0");
         let cluster = Cluster::new(cluster_config, task);
         let k = cluster.workers();
@@ -78,16 +79,13 @@ impl AsyncFda {
         let step_times: Vec<f64> = (0..k)
             .map(|_| 1.0 + straggler_spread * rng.uniform_f64())
             .collect();
-        let w_sync = cluster.worker(0).params();
         let state_bytes = monitor.state_bytes();
         let zero_state = monitor.local_state(&vec![0.0; cluster.dim()]);
         let drift_buf = vec![0.0; cluster.dim()];
         AsyncFda {
+            engine: RoundEngine::new(monitor, theta, cluster.worker(0).params()),
             cluster,
-            monitor,
-            theta,
             step_times,
-            w_sync,
             latest_states: vec![None; k],
             zero_state,
             drift_buf,
@@ -151,31 +149,28 @@ impl AsyncFda {
             .worker(worker)
             .model()
             .copy_params_to(&mut self.drift_buf);
-        vector::sub_assign(&mut self.drift_buf, &self.w_sync);
-        let state = self.monitor.local_state(&self.drift_buf);
+        vector::sub_assign(&mut self.drift_buf, self.engine.consensus());
+        let state = self.engine.monitor().local_state(&self.drift_buf);
         self.latest_states[worker] = Some(state);
         self.extra_bytes += self.state_bytes;
 
         // Coordinator decision over the most recent states of all workers
         // (workers that have not reported yet count as zero drift — they
-        // still hold w_sync, and the cached zero state stands in without
+        // still hold the consensus, and the cached zero state stands in without
         // cloning or allocating).
         let k = self.cluster.workers();
         let states: Vec<&LocalState> = (0..k)
             .map(|i| self.latest_states[i].as_ref().unwrap_or(&self.zero_state))
             .collect();
-        let estimate = self.monitor.estimate(&LocalState::average_refs(&states));
-        if estimate > self.theta {
+        let avg = LocalState::average_refs(&states);
+        if evaluate(self.engine.monitor(), &avg, self.engine.theta()).1 {
             // Rendezvous: everyone finishes the current in-flight step
             // (virtual clocks align to the latest worker), then AllReduce.
             let rendezvous = self.clock.iter().cloned().fold(0.0f64, f64::max);
             for c in &mut self.clock {
                 *c = rendezvous;
             }
-            let w_prev = std::mem::take(&mut self.w_sync);
-            let w_new = self.cluster.allreduce_models();
-            self.monitor.on_sync(&w_new, &w_prev);
-            self.w_sync = w_new;
+            self.engine.adopt(self.cluster.allreduce_models());
             self.latest_states.iter_mut().for_each(|s| *s = None);
             self.syncs += 1;
         }

@@ -6,7 +6,8 @@
 //! same cluster API, so their communication/computation costs are measured
 //! on identical footing.
 
-use crate::pool::{SendPtr, WorkerPool};
+use crate::pool::{run_lanes, SendPtr, WorkerPool};
+use crate::round::mean_into;
 use fda_comm::SimNetwork;
 use fda_data::batch::BatchSampler;
 use fda_data::{Dataset, Partition, TaskData};
@@ -85,6 +86,13 @@ impl ClusterConfig {
             "build_worker: index {k} out of range for K = {}",
             self.workers
         );
+        let (shards, w0) = self.shards_and_w0(train);
+        make_worker(self, shards.into_iter().nth(k).expect("k < K"), k, &w0)
+    }
+
+    /// The `K` data shards and the common initial model `w_0` — shared by
+    /// [`Cluster::new`] and [`ClusterConfig::build_worker`].
+    fn shards_and_w0(&self, train: &Dataset) -> (Vec<Vec<usize>>, Vec<f32>) {
         let shards = self
             .partition
             .shards(train, self.workers, self.seed ^ 0x5AAD);
@@ -96,9 +104,7 @@ impl ClusterConfig {
             template.in_dim(),
             train.dim()
         );
-        let dim = template.param_count();
-        let w0 = template.params_flat();
-        make_worker(self, shards.into_iter().nth(k).expect("k < K"), k, &w0, dim)
+        (shards, template.params_flat())
     }
 }
 
@@ -106,13 +112,8 @@ impl ClusterConfig {
 /// maps it over all shards) and [`ClusterConfig::build_worker`] (which
 /// builds a single worker for an out-of-process driver). All randomness is
 /// a deterministic function of `(config.seed, k)`.
-fn make_worker(
-    config: &ClusterConfig,
-    shard: Vec<usize>,
-    k: usize,
-    w0: &[f32],
-    dim: usize,
-) -> Worker {
+fn make_worker(config: &ClusterConfig, shard: Vec<usize>, k: usize, w0: &[f32]) -> Worker {
+    let dim = w0.len();
     // Each worker gets its own dropout stream but the same w0.
     let mut model = config
         .model
@@ -210,8 +211,6 @@ pub struct Cluster {
     /// Pool-owned per-worker `(loss, correct, samples)` results, reused
     /// every step (no per-step allocation).
     step_results: Vec<(f32, usize, usize)>,
-    /// Reused output buffer for the pooled model average.
-    avg_buf: Vec<f32>,
 }
 
 impl Cluster {
@@ -223,29 +222,17 @@ impl Cluster {
     /// Panics on inconsistent configs (e.g. dataset/model dim mismatch).
     pub fn new(config: ClusterConfig, task: &TaskData) -> Cluster {
         let dataset = Arc::new(task.train.clone());
-        let shards = config
-            .partition
-            .shards(&dataset, config.workers, config.seed ^ 0x5AAD);
-        let template = config.model.build(config.seed, 0);
-        assert_eq!(
-            template.in_dim(),
-            dataset.dim(),
-            "cluster: model input ({}) != dataset dim ({})",
-            template.in_dim(),
-            dataset.dim()
-        );
-        let dim = template.param_count();
-        let w0 = template.params_flat();
+        let (shards, w0) = config.shards_and_w0(&dataset);
+        let dim = w0.len();
         let workers: Vec<Worker> = shards
             .into_iter()
             .enumerate()
-            .map(|(k, shard)| make_worker(&config, shard, k, &w0, dim))
+            .map(|(k, shard)| make_worker(&config, shard, k, &w0))
             .collect();
         let pool = (config.parallel && config.workers > 1).then(|| WorkerPool::new(config.workers));
         Cluster {
             net: SimNetwork::new(config.workers),
             step_results: vec![(0.0, 0, 0); config.workers],
-            avg_buf: Vec::new(),
             pool,
             config,
             dataset,
@@ -255,11 +242,11 @@ impl Cluster {
         }
     }
 
-    /// The persistent pool (if the cluster runs pooled) together with the
-    /// worker slice — split borrows for strategies (FDA's monitor phase)
-    /// that dispatch their own per-worker jobs.
-    pub(crate) fn pool_and_workers(&mut self) -> (Option<&mut WorkerPool>, &mut [Worker]) {
-        (self.pool.as_mut(), &mut self.workers)
+    /// Split borrows of the persistent pool (if the cluster runs pooled),
+    /// the workers and the fabric — for strategies (FDA) that dispatch
+    /// their own per-worker jobs and charge their own traffic.
+    pub(crate) fn parts(&mut self) -> (Option<&mut WorkerPool>, &mut [Worker], &mut SimNetwork) {
+        (self.pool.as_mut(), &mut self.workers, &mut self.net)
     }
 
     /// The configuration this cluster was built with.
@@ -289,19 +276,9 @@ impl Cluster {
         self.net.total_bytes()
     }
 
-    /// Mutable access to the fabric (strategies charge their traffic here).
-    pub fn net_mut(&mut self) -> &mut SimNetwork {
-        &mut self.net
-    }
-
     /// Worker accessor.
     pub fn worker(&self, k: usize) -> &Worker {
         &self.workers[k]
-    }
-
-    /// Mutable worker accessor.
-    pub fn worker_mut(&mut self, k: usize) -> &mut Worker {
-        &mut self.workers[k]
     }
 
     /// Mini-batch steps per epoch, defined (as in the paper's figures) by
@@ -318,38 +295,30 @@ impl Cluster {
     /// shard and applies its local optimizer (Algorithm 1 lines 4–5).
     ///
     /// With [`ClusterConfig::parallel`] set, workers run on the persistent
-    /// [`WorkerPool`] lanes (one rendezvous, no thread spawning); each lane
-    /// writes its `(loss, correct, samples)` into its own slot of a
-    /// pool-owned results buffer, and the statistics are folded in worker
-    /// order afterwards, so both modes produce bit-identical models,
+    /// [`WorkerPool`] lanes (one rendezvous, no thread spawning). Either
+    /// way each worker writes its `(loss, correct, samples)` into its own
+    /// slot of a reused results buffer, and the statistics are folded in
+    /// worker order afterwards, so both modes produce bit-identical models,
     /// statistics and (therefore) synchronization decisions.
     pub fn local_step(&mut self) -> StepStats {
         let k = self.workers.len();
-        let (loss_sum, correct_sum, sample_sum) = if let Some(pool) = &mut self.pool {
-            let dataset: &Dataset = &self.dataset;
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            let results = SendPtr(self.step_results.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: each lane touches only its own worker and its
-                // own results slot; the rendezvous orders these writes
-                // before the fold below.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                let slot = unsafe { &mut *results.get().add(lane) };
-                *slot = w.step_once(dataset);
+        let dataset: &Dataset = &self.dataset;
+        let workers = SendPtr(self.workers.as_mut_ptr());
+        let results = SendPtr(self.step_results.as_mut_ptr());
+        run_lanes(self.pool.as_mut(), k, &|lane| {
+            // SAFETY: each lane touches only its own worker and its own
+            // results slot; the rendezvous orders these writes before the
+            // fold below.
+            let w = unsafe { &mut *workers.get().add(lane) };
+            let slot = unsafe { &mut *results.get().add(lane) };
+            *slot = w.step_once(dataset);
+        });
+        let (loss_sum, correct_sum, sample_sum) = self
+            .step_results
+            .iter()
+            .fold((0.0f32, 0usize, 0usize), |(l, c, s), &(wl, wc, ws)| {
+                (l + wl, c + wc, s + ws)
             });
-            self.step_results
-                .iter()
-                .fold((0.0f32, 0usize, 0usize), |(l, c, s), &(wl, wc, ws)| {
-                    (l + wl, c + wc, s + ws)
-                })
-        } else {
-            let mut acc = (0.0f32, 0usize, 0usize);
-            for w in &mut self.workers {
-                let (loss, correct, samples) = w.step_once(&self.dataset);
-                acc = (acc.0 + loss, acc.1 + correct, acc.2 + samples);
-            }
-            acc
-        };
         self.steps += 1;
         StepStats {
             mean_loss: loss_sum / k as f32,
@@ -367,18 +336,12 @@ impl Cluster {
     /// Panics if the vector length differs from the model dimension.
     pub fn load_global(&mut self, params: &[f32]) {
         assert_eq!(params.len(), self.dim, "load_global: dimension mismatch");
-        if let Some(pool) = &mut self.pool {
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                w.model.load_params(params);
-            });
-        } else {
-            for w in &mut self.workers {
-                w.model.load_params(params);
-            }
-        }
+        let workers = SendPtr(self.workers.as_mut_ptr());
+        run_lanes(self.pool.as_mut(), self.workers.len(), &|lane| {
+            // SAFETY: lane-private worker.
+            let w = unsafe { &mut *workers.get().add(lane) };
+            w.model.load_params(params);
+        });
     }
 
     /// One local step for a **single** worker (used by the asynchronous
@@ -395,89 +358,25 @@ impl Cluster {
     /// Synchronizes all models to their average via AllReduce, charging
     /// `d·4` bytes per worker. Returns the new global model.
     ///
-    /// Pooled mode performs the same arithmetic as
-    /// [`SimNetwork::allreduce_mean`] — per element, contributions are
-    /// summed in worker order (copy-first) and scaled by `1/K` — but
-    /// parallelized in three rendezvous: every lane snapshots its worker's
-    /// parameters, every lane averages its own contiguous chunk of the flat
-    /// parameter vector, and every lane loads the shared average back. The
-    /// chunking is over the *dimension*, never over workers, so the result
-    /// is bit-identical to the sequential path.
+    /// Every worker snapshots its parameters, the snapshots are averaged
+    /// in worker order with the round engine's arithmetic (copy-first, as
+    /// [`SimNetwork::allreduce_mean`]), and the average is loaded back.
+    /// Pooled mode runs each phase as one rendezvous, chunk-parallel over
+    /// the *dimension*, never over workers, so both modes give the same
+    /// bits.
     pub fn allreduce_models(&mut self) -> Vec<f32> {
-        if let Some(pool) = &mut self.pool {
-            let dim = self.dim;
-            // (1) Snapshot every worker's parameters into its own scratch.
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                w.model.copy_params_to(&mut w.params_buf);
-            });
-            // (2) Chunk-parallel worker-order mean into the shared buffer.
-            if self.avg_buf.len() != dim {
-                self.avg_buf = vec![0.0; dim];
-            }
-            {
-                let srcs: Vec<&[f32]> = self
-                    .workers
-                    .iter()
-                    .map(|w| w.params_buf.as_slice())
-                    .collect();
-                pool.chunked_mean(&srcs, &mut self.avg_buf);
-            }
-            // (3) Broadcast: every lane loads the shared average.
-            let workers = SendPtr(self.workers.as_mut_ptr());
-            let avg: &[f32] = &self.avg_buf;
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker; `avg` is read-only here.
-                let w = unsafe { &mut *workers.get().add(lane) };
-                w.model.load_params(avg);
-            });
-            // Same traffic entry as the sequential `allreduce_mean`.
-            self.net.charge_allreduce(dim as u64 * 4);
-            self.avg_buf.clone()
-        } else {
-            let mut bufs: Vec<Vec<f32>> =
-                self.workers.iter().map(|w| w.model.params_flat()).collect();
-            self.net.allreduce_mean(&mut bufs);
-            for (w, buf) in self.workers.iter_mut().zip(&bufs) {
-                w.model.load_params(buf);
-            }
-            bufs.into_iter().next().expect("k >= 1")
-        }
-    }
-
-    /// [`Cluster::allreduce_models`] with an uplink codec: each worker's
-    /// parameters are encoded, charged at exactly the emitted byte count,
-    /// and reconstructed (decoded) before the worker-order mean — the same
-    /// arithmetic a coordinator receiving coded uploads performs. The
-    /// consensus broadcast stays dense, mirroring the `fda_net` downlink.
-    /// Runs sequentially even in pooled mode: the lossy reconstruction
-    /// must follow the single code path the socket coordinator uses, or
-    /// the bit-identity proofs break.
-    ///
-    /// # Panics
-    /// Panics if the codec fails to decode its own output (a codec
-    /// contract violation, not an input condition).
-    pub fn allreduce_models_coded(&mut self, codec: &dyn fda_comm::Codec) -> Vec<f32> {
-        let k = self.workers.len();
-        let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(k);
-        let mut payloads: Vec<u64> = Vec::with_capacity(k);
-        for w in &self.workers {
-            let params = w.model.params_flat();
-            let enc = codec.encode(&params);
-            payloads.push(enc.len() as u64);
-            bufs.push(
-                codec
-                    .decode(&enc, params.len())
-                    .expect("codec decodes own output"),
-            );
-        }
-        self.net.allreduce_mean_with(&mut bufs, &payloads);
-        for (w, buf) in self.workers.iter_mut().zip(&bufs) {
-            w.model.load_params(buf);
-        }
-        bufs.into_iter().next().expect("k >= 1")
+        let workers = SendPtr(self.workers.as_mut_ptr());
+        run_lanes(self.pool.as_mut(), self.workers.len(), &|lane| {
+            // SAFETY: lane-private worker.
+            let w = unsafe { &mut *workers.get().add(lane) };
+            w.model.copy_params_to(&mut w.params_buf);
+        });
+        let mut avg = vec![0.0; self.dim];
+        let snapshots = self.workers.iter().map(|w| w.params_buf.as_slice());
+        mean_into(self.pool.as_mut(), snapshots, &mut avg);
+        self.load_global(&avg);
+        self.net.charge_allreduce(self.dim as u64 * 4);
+        avg
     }
 
     /// The average of the current worker models **without** any

@@ -15,19 +15,14 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::monitor::{ExactMonitor, LinearMonitor, LocalState, SketchMonitor, VarianceMonitor};
-use crate::pool::SendPtr;
+use crate::pool::{run_lanes, SendPtr};
+use crate::round::{upload, RoundEngine};
 use crate::strategy::{StepOutcome, Strategy};
-use fda_comm::{Codec, CodecSpec, DownlinkSpec};
+use fda_comm::{CodecSpec, DownlinkSpec};
 use fda_data::TaskData;
-use fda_obs::{JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
+use fda_obs::{JsonlWriter, MembershipRecord, RunEvent};
 use fda_sketch::SketchConfig;
 use fda_tensor::vector;
-
-/// Summary payloads below this length are averaged on the dispatching
-/// thread even in pooled mode: a rendezvous costs more than a few hundred
-/// scalar adds (LinearFDA's summary is a single float). Both paths compute
-/// bit-identical results, so the cutoff affects speed only.
-const POOLED_STATE_REDUCE_MIN: usize = 256;
 
 /// Registry histogram fed by phase 1 of every [`Fda::step`] (local
 /// training), in microseconds. The bench reads phase splits from these
@@ -39,13 +34,6 @@ pub const HIST_MONITOR_US: &str = "fda_step_monitor_us";
 /// Registry histogram fed by phase 4 (the conditional model AllReduce;
 /// ~0 µs samples on rounds where the Round Invariant held).
 pub const HIST_ALLREDUCE_US: &str = "fda_step_allreduce_us";
-
-/// Per-round telemetry attached via [`Strategy::set_telemetry`].
-struct TelemetrySession {
-    writer: JsonlWriter,
-    rounds: u32,
-    decisions: String,
-}
 
 /// Which FDA variant to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,34 +111,24 @@ impl FdaConfig {
     }
 }
 
-/// The FDA strategy (Algorithm 1) over a simulated cluster.
+/// The FDA strategy (Algorithm 1) over a simulated cluster: the workers
+/// live in memory and every round's server half runs in a
+/// [`RoundEngine`].
 pub struct Fda {
     cluster: Cluster,
-    monitor: Box<dyn VarianceMonitor>,
-    theta: f32,
+    engine: RoundEngine,
     variant_name: &'static str,
-    /// `w_t0`: the model right after the most recent synchronization.
-    w_sync: Vec<f32>,
-    syncs: u64,
-    /// Per-worker drift scratch `u_t^(k)` (K × d), reused across steps.
-    drift_bufs: Vec<Vec<f32>>,
+    /// Per-worker `d`-sized scratch (K × d), reused across steps: the
+    /// drift `u_t^(k)`, then on sync rounds the model upload.
+    bufs: Vec<Vec<f32>>,
     /// Per-worker local states, constructed in place each step.
     states: Vec<LocalState>,
-    /// Reused slot for the averaged state `S̄_t` in the pooled reduction
-    /// (the sequential reference path allocates, as it always did).
-    avg_state: Option<LocalState>,
-    /// The uplink payload codec. [`CodecSpec::Dense`] by default.
-    codec: CodecSpec,
-    /// Built codec — `None` on the dense path, which keeps its historical
-    /// byte-for-byte behaviour (pooled reductions, `charge_allreduce`).
-    codec_impl: Option<Box<dyn Codec>>,
-    /// The downlink mode. [`DownlinkSpec::Dense`] by default.
-    downlink: DownlinkSpec,
-    /// Built downlink delta codec — `None` on the dense downlink, which
-    /// broadcasts the AllReduce mean bit-exactly as it always did.
-    downlink_impl: Option<Box<dyn Codec>>,
-    /// Per-round JSONL telemetry, `None` unless attached.
-    telemetry: Option<TelemetrySession>,
+    /// Per-worker payload bytes of the latest deposit or upload.
+    bytes: Vec<u64>,
+    /// Per-round JSONL telemetry attached via [`Strategy::set_telemetry`]
+    /// and its decision log (one `'0'`/`'1'` per round), `None` unless
+    /// attached.
+    telemetry: Option<(JsonlWriter, String)>,
 }
 
 impl Fda {
@@ -160,31 +138,20 @@ impl Fda {
     /// Panics if `theta < 0` (Θ = 0 is allowed and behaves like
     /// Synchronous plus monitoring traffic).
     pub fn new(config: FdaConfig, cluster_config: ClusterConfig, task: &TaskData) -> Fda {
-        assert!(config.theta >= 0.0, "fda: Θ must be non-negative");
-        let cluster = Cluster::new(cluster_config, task);
-        Fda::over_cluster(config, cluster)
+        Fda::over_cluster(config, Cluster::new(cluster_config, task))
     }
 
     /// Builds FDA with a caller-supplied monitor — the extension point for
     /// custom variance estimators (used by the ξ-choice ablation bench).
     pub fn with_monitor(monitor: Box<dyn VarianceMonitor>, theta: f32, cluster: Cluster) -> Fda {
-        assert!(theta >= 0.0, "fda: Θ must be non-negative");
-        let w_sync = cluster.worker(0).params();
-        let variant_name = monitor.name();
+        let (k, zeros) = (cluster.workers(), vec![0.0f32; cluster.dim()]);
         Fda {
+            variant_name: monitor.name(),
+            states: (0..k).map(|_| monitor.local_state(&zeros)).collect(),
+            bufs: vec![zeros; k],
+            bytes: vec![0; k],
+            engine: RoundEngine::new(monitor, theta, cluster.worker(0).params()),
             cluster,
-            monitor,
-            theta,
-            variant_name,
-            w_sync,
-            syncs: 0,
-            drift_bufs: Vec::new(),
-            states: Vec::new(),
-            avg_state: None,
-            codec: CodecSpec::Dense,
-            codec_impl: None,
-            downlink: DownlinkSpec::Dense,
-            downlink_impl: None,
             telemetry: None,
         }
     }
@@ -193,70 +160,38 @@ impl Fda {
     /// clusters).
     pub fn over_cluster(config: FdaConfig, cluster: Cluster) -> Fda {
         let monitor = config.variant.build_monitor(cluster.dim());
-        let w_sync = cluster.worker(0).params();
-        Fda {
-            cluster,
-            monitor,
-            theta: config.theta,
-            variant_name: config.variant.name(),
-            w_sync,
-            syncs: 0,
-            drift_bufs: Vec::new(),
-            states: Vec::new(),
-            avg_state: None,
-            codec: CodecSpec::Dense,
-            codec_impl: None,
-            downlink: DownlinkSpec::Dense,
-            downlink_impl: None,
-            telemetry: None,
-        }
+        let mut fda = Fda::with_monitor(monitor, config.theta, cluster);
+        fda.variant_name = config.variant.name();
+        fda
     }
 
-    /// Selects the uplink payload codec: worker → coordinator state
-    /// summaries and model uploads are roundtripped through it (the lossy
-    /// reconstruction a receiver of encoded payloads computes) and charged
-    /// at exactly the emitted byte counts. The drift scalar and the
-    /// consensus downlink stay dense. [`CodecSpec::Dense`] restores the
-    /// historical byte-for-byte behaviour.
+    /// Selects the uplink payload codec: state summaries and model
+    /// uploads are roundtripped through it in memory (the reconstruction
+    /// a coordinator decodes from the wire) and charged at exactly the
+    /// encoded byte counts, plus the raw 4-byte drift scalar per state.
+    /// [`CodecSpec::Dense`] (the default) is the identity.
     ///
     /// # Panics
     /// Panics if the spec fails [`CodecSpec::validate`].
     pub fn set_codec(&mut self, spec: CodecSpec) {
-        spec.validate().expect("fda: invalid codec spec");
-        self.codec_impl = (!spec.is_dense()).then(|| spec.build());
-        self.codec = spec;
+        self.engine.set_codec(spec);
     }
 
-    /// The configured uplink codec.
-    pub fn codec_spec(&self) -> CodecSpec {
-        self.codec
-    }
-
-    /// Selects the downlink mode — the simulator mirror of the
-    /// coordinator's consensus broadcast. Under
-    /// [`DownlinkSpec::Delta`] the post-sync consensus becomes the
-    /// shared lossy reconstruction `prev + decode(encode(mean − prev))`
+    /// Selects the downlink mode. Under [`DownlinkSpec::Delta`] the
+    /// post-sync consensus becomes the shared lossy reconstruction
+    /// `prev + decode(encode(mean − prev))`
     /// ([`fda_comm::compress::delta_downlink`]), loaded into every worker
-    /// uncharged (downlink bytes are outside the paper's convention, like
-    /// the dense broadcast before it). [`DownlinkSpec::Dense`] restores
-    /// the historical bitwise behaviour.
+    /// uncharged (downlink bytes are outside the paper's convention).
     ///
     /// # Panics
     /// Panics if the spec fails [`DownlinkSpec::validate`].
     pub fn set_downlink(&mut self, spec: DownlinkSpec) {
-        spec.validate().expect("fda: invalid downlink spec");
-        self.downlink_impl = spec.build();
-        self.downlink = spec;
-    }
-
-    /// The configured downlink mode.
-    pub fn downlink_spec(&self) -> DownlinkSpec {
-        self.downlink
+        self.engine.set_downlink(spec);
     }
 
     /// The variance threshold Θ.
     pub fn theta(&self) -> f32 {
-        self.theta
+        self.engine.theta()
     }
 
     /// Replaces Θ (used by the adaptive controller of [`crate::adaptive`];
@@ -266,148 +201,58 @@ impl Fda {
     /// # Panics
     /// Panics if `theta < 0`.
     pub fn set_theta(&mut self, theta: f32) {
-        assert!(theta >= 0.0, "fda: Θ must be non-negative");
-        self.theta = theta;
+        self.engine.set_theta(theta);
     }
 
-    /// The monitor in use.
-    pub fn monitor(&self) -> &dyn VarianceMonitor {
-        self.monitor.as_ref()
-    }
-
-    /// The model at the last synchronization (`w_t0`).
-    pub fn sync_model(&self) -> &[f32] {
-        &self.w_sync
-    }
-
-    /// Computes all workers' local states into `self.states` (Algorithm 1
-    /// line 6): per worker, `drift = w^(k) − w_t0`, then the monitor's
-    /// summary — each on its own pool lane when the cluster is pooled,
-    /// sequentially otherwise. Buffers are lane-private and reused across
-    /// steps, so the steady state allocates nothing; both modes perform
-    /// identical per-worker arithmetic and are therefore bit-identical.
-    fn compute_states(&mut self) {
-        let k = self.cluster.workers();
-        if self.states.len() != k {
-            let dim = self.cluster.dim();
-            let zeros = vec![0.0f32; dim];
-            self.states = (0..k).map(|_| self.monitor.local_state(&zeros)).collect();
-            self.drift_bufs = vec![zeros; k];
-        }
-        let w_sync: &[f32] = &self.w_sync;
-        let monitor: &dyn VarianceMonitor = self.monitor.as_ref();
-        let (pool, workers) = self.cluster.pool_and_workers();
-        if let Some(pool) = pool {
-            let wptr = SendPtr(workers.as_mut_ptr());
-            let dptr = SendPtr(self.drift_bufs.as_mut_ptr());
-            let sptr = SendPtr(self.states.as_mut_ptr());
-            pool.run(&|lane| {
-                // SAFETY: lane-private worker, drift buffer and state slot.
-                let w = unsafe { &mut *wptr.get().add(lane) };
-                let drift = unsafe { &mut *dptr.get().add(lane) };
-                let state = unsafe { &mut *sptr.get().add(lane) };
-                w.model_mut().copy_params_to(drift);
-                vector::sub_assign(drift, w_sync);
-                monitor.local_state_into(drift, state);
-            });
-        } else {
-            for (i, w) in workers.iter_mut().enumerate() {
-                let drift = &mut self.drift_bufs[i];
-                w.model_mut().copy_params_to(drift);
-                vector::sub_assign(drift, w_sync);
-                monitor.local_state_into(drift, &mut self.states[i]);
-            }
-        }
-    }
-
-    /// Averages `self.states` — the arithmetic of the state AllReduce
-    /// (Algorithm 1 line 7) — and returns the monitor's estimate `H(S̄_t)`.
-    /// Large summaries (sketches at scale, the Exact oracle's full drift)
-    /// reduce chunk-parallel on the pool into the reused `avg_state` slot;
-    /// the chunking is over the summary payload with worker-order
-    /// accumulation per element, i.e. bit-identical to
-    /// [`LocalState::average_refs`], which the sequential path calls.
-    fn averaged_estimate(&mut self) -> f32 {
-        let k = self.states.len();
-        let n = self.states[0].summary_slice().len();
-        let (pool, _) = self.cluster.pool_and_workers();
-        match pool {
-            Some(pool) if n >= POOLED_STATE_REDUCE_MIN => {
-                let drift_sq_norm =
-                    self.states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / k as f32;
-                // One clone on first use; thereafter the slot already has
-                // the right shape (the monitor never changes) and every
-                // element is overwritten below.
-                let avg = match &mut self.avg_state {
-                    Some(avg) if avg.summary_slice().len() == n => avg,
-                    slot => slot.insert(self.states[0].clone()),
-                };
-                {
-                    let srcs: Vec<&[f32]> = self.states.iter().map(|s| s.summary_slice()).collect();
-                    pool.chunked_mean(&srcs, avg.summary_slice_mut());
-                }
-                avg.drift_sq_norm = drift_sq_norm;
-                self.monitor.estimate(avg)
-            }
-            _ => {
-                let refs: Vec<&LocalState> = self.states.iter().collect();
-                self.monitor.estimate(&LocalState::average_refs(&refs))
-            }
-        }
-    }
-
-    /// Writes this round's telemetry event. `charged_before`/`charged_mid`
-    /// bracket the state charge, so byte deltas are exact per frame kind;
-    /// the simulator's measured total *is* its charged total (there is no
-    /// socket to measure).
-    fn emit_round_event(
-        &mut self,
-        charged_before: u64,
-        charged_mid: u64,
-        synced: bool,
-        estimate: f32,
-    ) {
-        let alive = self.cluster.workers() as u32;
-        let theta = self.theta;
-        let codec = self.codec.name().to_string();
-        let charged_total = self.cluster.comm_bytes();
-        if let Some(sess) = &mut self.telemetry {
-            sess.rounds += 1;
-            sess.decisions.push(if synced { '1' } else { '0' });
-            let event = RoundEvent {
-                source: "sim".into(),
-                round: sess.rounds,
-                epoch: 1,
-                alive,
-                decision: synced,
-                estimate,
-                theta,
-                codec,
-                state_bytes: charged_mid - charged_before,
-                model_bytes: charged_total - charged_mid,
-                charged_bytes: charged_total,
-                measured_bytes: charged_total,
-                deposit_us: Vec::new(),
-                drops: Vec::new(),
+    /// The client half of an uplink, each worker on its own pool lane
+    /// when the cluster is pooled: the worker's parameters into its
+    /// scratch, then either its local state (Algorithm 1 line 6: the drift
+    /// `w^(k) − w_t0` summarized by the monitor) with the summary
+    /// roundtripped through the uplink codec, or — for `models` — the
+    /// parameters themselves roundtripped. Buffers are lane-private and
+    /// reused across steps; both modes run identical per-worker arithmetic.
+    fn uplink(&mut self, models: bool) {
+        let engine = &self.engine;
+        let (pool, workers, _) = self.cluster.parts();
+        let wptr = SendPtr(workers.as_mut_ptr());
+        let dptr = SendPtr(self.bufs.as_mut_ptr());
+        let sptr = SendPtr(self.states.as_mut_ptr());
+        let bptr = SendPtr(self.bytes.as_mut_ptr());
+        run_lanes(pool, workers.len(), &|lane| {
+            // SAFETY: lane-private worker, buffer, state and byte slot.
+            let (w, buf, state, bytes) = unsafe {
+                (
+                    &*wptr.get().add(lane),
+                    &mut *dptr.get().add(lane),
+                    &mut *sptr.get().add(lane),
+                    &mut *bptr.get().add(lane),
+                )
             };
-            let _ = sess.writer.write(&event.to_json());
-        }
+            w.model().copy_params_to(buf);
+            *bytes = if models {
+                upload(engine.codec(), buf)
+            } else {
+                vector::sub_assign(buf, engine.consensus());
+                engine.monitor().local_state_into(buf, state);
+                4 + upload(engine.codec(), state.summary_slice_mut())
+            };
+        });
     }
 
     /// Writes the end-of-run summary and closes the stream (called when
     /// telemetry is detached).
-    fn emit_run_event(&mut self, mut sess: TelemetrySession) {
+    fn emit_run_event(&mut self, (mut writer, decisions): (JsonlWriter, String)) {
         let charged = self.cluster.comm_bytes();
         let workers = self.cluster.workers() as u32;
         let event = RunEvent {
             source: "sim".into(),
             workers,
             variant: self.variant_name.to_string(),
-            theta: self.theta,
-            steps: sess.rounds,
-            syncs: self.syncs,
-            decisions: std::mem::take(&mut sess.decisions),
-            codec: self.codec.name().to_string(),
+            theta: self.engine.theta(),
+            steps: decisions.len() as u32,
+            syncs: self.engine.syncs(),
+            decisions,
+            codec: self.engine.codec().name().to_string(),
             charged_bytes: charged,
             measured_payload_bytes: charged,
             raw_tx_bytes: 0,
@@ -421,8 +266,8 @@ impl Fda {
                 })
                 .collect(),
         };
-        let _ = sess.writer.write(&event.to_json());
-        let _ = sess.writer.flush();
+        let _ = writer.write(&event.to_json());
+        let _ = writer.flush();
     }
 }
 
@@ -432,74 +277,40 @@ impl Strategy for Fda {
     }
 
     fn step(&mut self) -> StepOutcome {
-        let charged_before = self.cluster.comm_bytes();
-
         // (1) Local training on every worker.
         let stats = {
             let _span = fda_obs::histogram!(HIST_LOCAL_STEP_US).span();
             self.cluster.local_step()
         };
 
-        // (2)–(3) Local states from drifts, then the AllReduce of the
-        //     states — charged at the monitor's state size. The arithmetic
-        //     is the component-wise average; the estimate `H(S̄_t)` comes
-        //     straight off the averaged state.
-        let estimate = {
+        // (2)–(3) Local states from drifts, then the state AllReduce and
+        //     the decision `H(S̄_t) > Θ` in the engine.
+        let (estimate, synced) = {
             let _span = fda_obs::histogram!(HIST_MONITOR_US).span();
-            self.compute_states();
-            if let Some(codec) = &self.codec_impl {
-                // Coded uplink: roundtrip every worker's summary through
-                // the codec — what a coordinator reconstructs from an
-                // encoded deposit — and charge exactly the emitted bytes
-                // plus the raw 4-byte drift scalar (the codec covers the
-                // summary only).
-                let mut payloads = Vec::with_capacity(self.states.len());
-                for s in &mut self.states {
-                    let enc = codec.encode(s.summary_slice());
-                    payloads.push(4 + enc.len() as u64);
-                    let dec = codec
-                        .decode(&enc, s.summary_slice().len())
-                        .expect("codec decodes own output");
-                    s.summary_slice_mut().copy_from_slice(&dec);
-                }
-                self.cluster.net_mut().charge_per_worker(&payloads);
-            } else {
-                let state_bytes = self.monitor.state_bytes();
-                self.cluster.net_mut().charge_allreduce(state_bytes);
-            }
-            self.averaged_estimate()
+            self.uplink(false);
+            let states: Vec<&LocalState> = self.states.iter().collect();
+            let (pool, _, net) = self.cluster.parts();
+            self.engine.decide(net, &states, &self.bytes, pool)
         };
-        let charged_mid = self.cluster.comm_bytes();
 
-        // (4) The conditional synchronization.
-        let mut synced = false;
-        {
+        // (4) The conditional synchronization: the consensus the engine
+        //     returns (the mean, or its delta-downlink reconstruction) is
+        //     loaded into every worker.
+        if synced {
             let _span = fda_obs::histogram!(HIST_ALLREDUCE_US).span();
-            if estimate > self.theta {
-                let w_prev = std::mem::take(&mut self.w_sync);
-                let mut w_new = match &self.codec_impl {
-                    Some(codec) => self.cluster.allreduce_models_coded(codec.as_ref()),
-                    None => self.cluster.allreduce_models(),
-                };
-                if let Some(delta_codec) = &self.downlink_impl {
-                    // Delta downlink mirror: the consensus every worker
-                    // ends the round with is the reconstruction of the
-                    // coded delta against the previous consensus — load
-                    // it uncharged, exactly like the transport does.
-                    let (_, recon) =
-                        fda_comm::compress::delta_downlink(&w_prev, &w_new, delta_codec.as_ref());
-                    self.cluster.load_global(&recon);
-                    w_new = recon;
-                }
-                self.monitor.on_sync(&w_new, &w_prev);
-                self.w_sync = w_new;
-                self.syncs += 1;
-                synced = true;
-            }
+            self.uplink(true);
+            let uploads: Vec<&[f32]> = self.bufs.iter().map(Vec::as_slice).collect();
+            let (pool, _, net) = self.cluster.parts();
+            self.engine.sync(net, &uploads, &self.bytes, pool);
+            self.cluster.load_global(self.engine.consensus());
         }
 
-        if self.telemetry.is_some() {
-            self.emit_round_event(charged_before, charged_mid, synced, estimate);
+        if let Some((writer, decisions)) = &mut self.telemetry {
+            decisions.push(if synced { '1' } else { '0' });
+            let charged = self.cluster.comm_bytes();
+            let round = decisions.len() as u32;
+            let event = self.engine.round_event("sim", round, 1, charged);
+            let _ = writer.write(&event.to_json());
         }
 
         StepOutcome {
@@ -510,20 +321,10 @@ impl Strategy for Fda {
     }
 
     fn set_telemetry(&mut self, sink: Option<JsonlWriter>) -> bool {
-        match sink {
-            Some(writer) => {
-                self.telemetry = Some(TelemetrySession {
-                    writer,
-                    rounds: 0,
-                    decisions: String::new(),
-                });
-            }
-            None => {
-                if let Some(sess) = self.telemetry.take() {
-                    self.emit_run_event(sess);
-                }
-            }
+        if let Some(session) = self.telemetry.take() {
+            self.emit_run_event(session);
         }
+        self.telemetry = sink.map(|writer| (writer, String::new()));
         true
     }
 
@@ -536,7 +337,7 @@ impl Strategy for Fda {
     }
 
     fn syncs(&self) -> u64 {
-        self.syncs
+        self.engine.syncs()
     }
 }
 

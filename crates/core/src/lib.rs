@@ -26,6 +26,9 @@
 //! * [`monitor`] — the three variance monitors (Sketch / Linear / Exact
 //!   oracle) and the local-state algebra.
 //! * [`fda`] — Algorithm 1: the [`fda::Fda`] strategy.
+//! * [`round`] — the server half of one FDA round ([`round::RoundEngine`]),
+//!   driven by [`fda::Fda`] from memory and by the `fda_net` coordinator
+//!   from sockets.
 //! * [`baselines`] — Synchronous (BSP), Local-SGD(τ), FedAvg / FedAvgM /
 //!   FedAdam (FedOpt with server optimizers).
 //! * [`strategy`] — the common [`strategy::Strategy`] trait the harness
@@ -47,10 +50,10 @@ pub mod fda;
 pub mod harness;
 pub mod monitor;
 pub mod pool;
+pub mod round;
 pub mod strategy;
 pub mod sweeps;
 pub mod theta;
-pub mod threaded;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
@@ -58,4 +61,5 @@ pub use fda::{Fda, FdaConfig, FdaVariant};
 pub use harness::{RunConfig, RunResult};
 pub use monitor::{ExactMonitor, LinearMonitor, SketchMonitor, VarianceMonitor};
 pub use pool::WorkerPool;
+pub use round::RoundEngine;
 pub use strategy::Strategy;

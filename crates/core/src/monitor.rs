@@ -80,17 +80,14 @@ impl LocalState {
     /// [`LocalState::average`] over references (callers with long-lived
     /// per-worker states avoid cloning them just to average).
     ///
-    /// The summary accumulation is *copy-first, then add in worker order* —
-    /// the same association as `SimNetwork::allreduce_mean` and
-    /// `fda_tensor::vector::mean_range_into` — so chunk-parallel
-    /// reductions over the summary payload are bit-identical to this
-    /// sequential reference.
+    /// The arithmetic is the round engine's
+    /// ([`crate::round::mean_state_into`]): copy-first, then add in worker
+    /// order — the association of `SimNetwork::allreduce_mean`.
     ///
     /// # Panics
     /// Panics on an empty slice or mixed summary variants.
     pub fn average_refs(states: &[&LocalState]) -> LocalState {
         assert!(!states.is_empty(), "state average: empty input");
-        let k = states.len() as f32;
         let variant = std::mem::discriminant(&states[0].summary);
         assert!(
             states
@@ -98,16 +95,8 @@ impl LocalState {
                 .all(|s| std::mem::discriminant(&s.summary) == variant),
             "state average: mixed summary variants"
         );
-        let drift_sq_norm = states.iter().map(|s| s.drift_sq_norm).sum::<f32>() / k;
         let mut avg = (*states[0]).clone();
-        {
-            let out = avg.summary_slice_mut();
-            for s in &states[1..] {
-                vector::add_assign(out, s.summary_slice());
-            }
-            vector::scale(out, 1.0 / k);
-        }
-        avg.drift_sq_norm = drift_sq_norm;
+        crate::round::mean_state_into(states, &mut avg, None);
         avg
     }
 }

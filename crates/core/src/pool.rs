@@ -1,16 +1,15 @@
 //! The persistent worker pool: spawn-once threads with a per-step
 //! rendezvous.
 //!
-//! PR 1 ran the parallel local-step phase with `std::thread::scope`, which
-//! spawns and joins `K` OS threads **every step** — ~K·50 µs of kernel work
-//! that dwarfs a ~2 ms LeNet step and contributes nothing. A [`WorkerPool`]
-//! spawns its lanes once (when the `Cluster` is built) and thereafter each
-//! phase is a rendezvous: the dispatching thread publishes a job, every
-//! lane runs it with its lane index, and the dispatcher blocks until all
-//! lanes have finished. The pool serves every phase of the FDA step —
-//! local training, drift/monitor-state construction, the chunked state
-//! reduction, and the full-model AllReduce — as well as the baselines,
-//! which drive the same cluster primitives.
+//! Spawning and joining `K` OS threads every step costs ~K·50 µs of kernel
+//! work per step. A [`WorkerPool`] spawns its lanes once (when the
+//! `Cluster` is built) and thereafter each phase is a rendezvous: the
+//! dispatching thread publishes a job, every lane runs it with its lane
+//! index, and the dispatcher blocks until all lanes have finished. The
+//! pool serves every phase of the FDA step — local training, the uplink
+//! (drift, monitor state, codec roundtrip), the chunked means and the
+//! consensus load — as well as the baselines, which drive the same
+//! cluster primitives.
 //!
 //! ## Rendezvous protocol
 //!
@@ -40,8 +39,8 @@
 //! *callers'* obligation: every job writes only lane-private slots (worker
 //! models, per-lane result cells, disjoint chunks of a shared buffer), and
 //! reductions happen afterwards in a fixed order on the dispatching thread.
-//! See `Cluster::local_step` and `Fda::step` for the bit-identical-to-
-//! sequential argument.
+//! See `Cluster::local_step` and `round::mean_state_into` for the
+//! bit-identical-to-sequential argument.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -50,6 +49,21 @@ use std::thread::JoinHandle;
 /// The lifetime parameter lets jobs borrow from the dispatcher's stack —
 /// the rendezvous guarantees those borrows outlive every lane's call.
 type Job<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// Runs `job` once per lane in `0..lanes`: on the pool when there is one
+/// (which must have `lanes` lanes), otherwise in lane order on the calling
+/// thread — the same lane-private job either way.
+pub fn run_lanes(pool: Option<&mut WorkerPool>, lanes: usize, job: &Job<'_>) {
+    match pool {
+        Some(pool) => {
+            // The callers' jobs index lane-private slots by lane: a pool
+            // with more lanes than slots would reach past them.
+            assert_eq!(pool.lanes(), lanes, "run_lanes: lane count mismatch");
+            pool.run(job);
+        }
+        None => (0..lanes).for_each(job),
+    }
+}
 
 /// The type-erased job pointer parked in the shared slot. Lifetime-erased;
 /// validity is guaranteed by the rendezvous (the dispatcher outlives the
@@ -198,7 +212,7 @@ impl WorkerPool {
     ///
     /// This is the one shared home for the unsafe disjoint-chunk dance, so
     /// the worker-order-association argument is audited in a single place
-    /// (`Cluster::allreduce_models` and `Fda::averaged_estimate` both
+    /// (`Cluster::allreduce_models` and the `RoundEngine` means both
     /// reduce through it).
     ///
     /// # Panics

@@ -3,10 +3,9 @@
 //! The simulator usually passes [`LocalState`] values in memory and only
 //! *charges* their byte size; this module provides the actual byte-level
 //! encoding so that (a) the charged sizes are demonstrably achievable, and
-//! (b) transport-based drivers ([`crate::threaded`], and the `fda_net` TCP
-//! runtime) can ship real buffers. Hand-rolled little-endian framing —
-//! the payloads are flat `f32` runs and a handful of scalars, serde would
-//! be overkill.
+//! (b) the `fda_net` TCP runtime can ship real buffers. Hand-rolled
+//! little-endian framing — the payloads are flat `f32` runs and a handful
+//! of scalars, serde would be overkill.
 //!
 //! State layout (little endian):
 //!

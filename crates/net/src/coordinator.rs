@@ -1,26 +1,23 @@
 //! The TCP coordinator: deposit → deterministic reduce → broadcast,
 //! surviving worker churn.
 //!
-//! One FDA round on the wire is the same three-phase rendezvous as
-//! [`fda_comm::ThreadedReducer`], with sockets in place of condvars:
+//! One FDA round on the wire is a three-phase rendezvous over sockets:
 //!
 //! 1. **deposit** — every live worker uploads its local state frame;
-//! 2. **reduce** — the coordinator averages the decoded states **in
-//!    worker-id order** (`LocalState::average_refs`: copy-first, then add
-//!    id-ascending — the exact association of `SimNetwork::allreduce_mean`
-//!    and the pooled `WorkerPool::chunked_mean`), evaluates `H(S̄_t)`, and
-//!    decides;
+//! 2. **reduce** — the survivors' decoded states go to the
+//!    [`RoundEngine`], the same server half the simulator's `Fda::step`
+//!    runs: it charges them, averages them **in worker-id order**,
+//!    evaluates `H(S̄_t)` and decides;
 //! 3. **broadcast** — every live worker receives the averaged state plus
 //!    the decision, so the conditional model AllReduce is
 //!    cluster-consistent without an extra round.
 //!
-//! Model synchronizations run the *arithmetic and the charged accounting*
-//! through an embedded [`SimNetwork`] — the identical code path the
-//! sequential simulator executes — so a K-process TCP run is bit-identical
-//! to the simulator by construction, and the charged byte counters are the
-//! simulator's own. Independently, every data-plane frame that actually
-//! crosses a socket is *measured* (payload convention and raw bytes); the
-//! parity suite asserts measured == charged.
+//! On a sync round the engine also averages the decoded model uploads and
+//! produces the consensus downlink, so a K-process TCP run is
+//! bit-identical to the simulator by construction and its charged byte
+//! ledger is the simulator's. Independently, every data-plane frame that
+//! actually crosses a socket is *measured* (payload convention and raw
+//! bytes); the parity suite asserts measured == charged.
 //!
 //! # Failure model
 //!
@@ -38,14 +35,14 @@
 //! full argument lives in DESIGN.md § "Failure model".
 
 use crate::frame::{write_frame, CountingStream, FrameKind, NetError, PROTOCOL_VERSION};
-use crate::protocol::{recv_at_epoch, recv_frame_at_epoch_into, Msg};
-use fda_comm::{delta_downlink, AccountingMode, SimNetwork};
+use crate::protocol::{downlink_kind, recv_frame_at_epoch_into, Msg};
+use fda_comm::{AccountingMode, SimNetwork};
 use fda_core::monitor::LocalState;
+use fda_core::round::RoundEngine;
 use fda_core::wire::{
-    decode_state_coded, decode_vector_coded, encode_state_into, encode_vector, encode_vector_into,
-    state_frame_overhead, JobSpec,
+    decode_state_coded, decode_vector_coded, encode_state_into, state_frame_overhead, JobSpec,
 };
-use fda_obs::{DropRecord, JsonlWriter, MembershipRecord, RoundEvent, RunEvent};
+use fda_obs::{DropRecord, JsonlWriter, MembershipRecord, RunEvent};
 use fda_tensor::vector;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -138,8 +135,8 @@ pub struct NetReport {
     pub decisions: Vec<bool>,
     /// Per-round variance estimates `H(S̄_t)`, in step order.
     pub estimates: Vec<f32>,
-    /// Bytes charged by the embedded [`SimNetwork`] — the simulator's
-    /// convention (state payload per step, `d·4` per sync, per worker),
+    /// Bytes charged by the [`RoundEngine`] — the simulator's convention
+    /// (state payload per step, model payload per sync, per worker),
     /// summed across membership eras when the worker set changed.
     pub charged_bytes: u64,
     /// Bytes *measured* on the sockets under the same payload convention:
@@ -190,8 +187,8 @@ pub struct Coordinator {
 struct Conn {
     stream: CountingStream<TcpStream>,
     epoch: u32,
-    /// Round-persistent receive buffer: [`Conn::recv_frame_current`]
-    /// leaves the frame body here (kind byte + payload, so the payload is
+    /// Round-persistent receive buffer: [`Members::recv_each`] leaves
+    /// the frame body here (kind byte + payload, so the payload is
     /// `rbuf[1..]`), and steady-state deposits never allocate per frame —
     /// the buffer only grows to the largest frame this peer ever sends.
     rbuf: Vec<u8>,
@@ -203,20 +200,8 @@ impl Conn {
         write_frame(&mut self.stream, epoch, kind, payload)
     }
 
-    fn recv_current(&mut self) -> Result<Msg, NetError> {
-        recv_at_epoch(&mut self.stream, self.epoch)
-    }
-
-    /// Current-epoch receive at the frame layer — for uplink payloads
-    /// whose decoding needs the job's codec and an expected shape. The
-    /// payload lands in `self.rbuf` (at `rbuf[1..]`).
-    fn recv_frame_current(&mut self) -> Result<FrameKind, NetError> {
-        recv_frame_at_epoch_into(&mut self.stream, self.epoch, &mut self.rbuf)
-    }
-
-    fn set_read_timeout(&self, t: Duration) -> Result<(), NetError> {
-        self.stream.get_ref().set_read_timeout(Some(t))?;
-        Ok(())
+    fn set_read_timeout(&self, t: Duration) -> std::io::Result<()> {
+        self.stream.get_ref().set_read_timeout(Some(t))
     }
 }
 
@@ -236,6 +221,119 @@ fn drop_reason(e: &NetError) -> DropReason {
         NetError::Decode(_) | NetError::Protocol(_) | NetError::Quorum { .. } => {
             DropReason::Protocol
         }
+    }
+}
+
+/// A run's connections, indexed by worker id, with the live set, the
+/// membership log, the epoch and the quorum rule. A phase runs over the
+/// live ids in ascending order; every per-worker failure becomes a drop,
+/// and the phase ends by [`Members::settle`]-ing its drops.
+struct Members {
+    conns: Vec<Option<Conn>>,
+    /// Live worker ids, ascending.
+    live: Vec<usize>,
+    /// Reconnects waiting for their scheduled admission.
+    parked: Vec<(usize, Conn)>,
+    events: Vec<MembershipEvent>,
+    epoch: u32,
+    /// `(tx, rx)` raw bytes of retired connections.
+    raw: (u64, u64),
+    min_workers: usize,
+    /// Socket timeout outside the deposit deadline.
+    read_timeout: Duration,
+}
+
+impl Members {
+    /// Parks reconnect hellos. A hello claiming a live id is a zombie and
+    /// is closed; a second reconnect of the same parked id replaces the
+    /// first (the worker retried).
+    fn park(&mut self, hellos: Vec<(usize, Conn)>) {
+        for (id, conn) in hellos {
+            if self.conns[id].is_some() {
+                retire(conn, &mut self.raw);
+                continue;
+            }
+            if let Some(pos) = self.parked.iter().position(|(pid, _)| *pid == id) {
+                retire(self.parked.swap_remove(pos).1, &mut self.raw);
+            }
+            self.parked.push((id, conn));
+        }
+    }
+
+    /// Applies a phase's drops — close, log, bump the epoch once — then
+    /// enforces the quorum ([`NetError::Quorum`] below `min_workers`).
+    fn settle(&mut self, drops: &[(usize, DropReason)], round: u32) -> Result<(), NetError> {
+        for &(id, reason) in drops {
+            let conn = self.conns[id].take().expect("dropping a live conn");
+            retire(conn, &mut self.raw);
+            self.events.push(MembershipEvent {
+                round,
+                worker: id as u32,
+                event: MemberEvent::Dropped(reason),
+            });
+        }
+        if !drops.is_empty() {
+            self.epoch += 1;
+            self.live.retain(|&id| self.conns[id].is_some());
+        }
+        if self.live.len() < self.min_workers {
+            return Err(NetError::Quorum {
+                round,
+                alive: self.live.len(),
+                min_workers: self.min_workers,
+            });
+        }
+        Ok(())
+    }
+
+    /// Receives one current-epoch `kind` frame from each live worker, in
+    /// id order, and hands `accept` the worker id, the payload and the
+    /// time spent waiting for it. A failed read, another kind, or a
+    /// payload `accept` rejects drops the worker, so the accepted payloads
+    /// are exactly the survivors'. With a `deadline`, each read gets the
+    /// time remaining until it.
+    fn recv_each(
+        &mut self,
+        kind: FrameKind,
+        round: u32,
+        deadline: Option<Instant>,
+        mut accept: impl FnMut(usize, &[u8], Duration) -> bool,
+    ) -> Result<(), NetError> {
+        let mut drops = Vec::new();
+        for &id in &self.live {
+            let conn = self.conns[id].as_mut().expect("live");
+            if let Some(deadline) = deadline {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                conn.set_read_timeout(remaining.max(Duration::from_millis(1)))?;
+            }
+            let t0 = Instant::now();
+            match recv_frame_at_epoch_into(&mut conn.stream, conn.epoch, &mut conn.rbuf) {
+                Ok(k) if k == kind && accept(id, &conn.rbuf[1..], t0.elapsed()) => {}
+                Ok(_) => drops.push((id, DropReason::Protocol)),
+                Err(e) => drops.push((id, drop_reason(&e))),
+            }
+        }
+        self.settle(&drops, round)?;
+        if deadline.is_some() {
+            for conn in self.conns.iter().flatten() {
+                conn.set_read_timeout(self.read_timeout)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends `payload` as one `kind` frame to each live worker — one
+    /// encoded buffer fanned out, each header stamped separately. A failed
+    /// write drops the worker.
+    fn send_each(&mut self, kind: FrameKind, payload: &[u8], round: u32) -> Result<(), NetError> {
+        let mut drops = Vec::new();
+        for &id in &self.live {
+            let conn = self.conns[id].as_mut().expect("live");
+            if let Err(e) = conn.send_raw(self.epoch, kind, payload) {
+                drops.push((id, drop_reason(&e)));
+            }
+        }
+        self.settle(&drops, round)
     }
 }
 
@@ -285,9 +383,9 @@ impl Coordinator {
         self.telemetry = Some(path.into());
     }
 
-    /// Accepts one connection and completes the hello handshake, returning
-    /// the claimed worker id and last-seen epoch.
-    fn handshake(&self, stream: TcpStream, k: usize) -> Result<(usize, u32, Conn), NetError> {
+    /// Completes one accepted connection's hello handshake, returning the
+    /// claimed worker id.
+    fn handshake(&self, stream: TcpStream, k: usize) -> Result<(usize, Conn), NetError> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.read_timeout))?;
@@ -297,15 +395,13 @@ impl Coordinator {
             epoch: 0,
             rbuf: Vec::new(),
         };
-        let (version, id, last_epoch) = match Msg::recv(&mut conn.stream)? {
+        let (version, id) = match Msg::recv(&mut conn.stream)? {
             (
                 Msg::Hello {
-                    version,
-                    worker_id,
-                    last_epoch,
+                    version, worker_id, ..
                 },
                 _,
-            ) => (version, worker_id as usize, last_epoch),
+            ) => (version, worker_id as usize),
             (other, _) => {
                 return Err(NetError::Protocol(format!(
                     "expected hello, got {}",
@@ -323,75 +419,52 @@ impl Coordinator {
                 "worker id {id} out of range for K = {k}"
             )));
         }
-        Ok((id, last_epoch, conn))
+        Ok((id, conn))
     }
 
-    /// Accepts `k` workers, handshakes, and indexes them by worker id.
+    /// Accepts every pending connection without blocking and returns the
+    /// ones that completed their hello. A connection that fails its
+    /// handshake — a bad frame, the wrong message kind or version, an id
+    /// out of range — is closed: a stray peer costs only its own
+    /// connection. Only an error from the listener itself fails.
+    fn accept_hellos(&self, k: usize) -> Result<Vec<(usize, Conn)>, NetError> {
+        let mut hellos = Vec::new();
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => hellos.extend(self.handshake(stream, k).ok()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(hellos),
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+    }
+
+    /// Accepts `k` workers and indexes them by worker id. A hello for an
+    /// id already formed is closed; strays do not reset the deadline.
     fn accept_workers(&self, k: usize) -> Result<Vec<Conn>, NetError> {
         self.listener.set_nonblocking(true)?;
         let deadline = Instant::now() + self.accept_timeout;
         let mut slots: Vec<Option<Conn>> = (0..k).map(|_| None).collect();
         let mut accepted = 0usize;
-        while accepted < k {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let (id, _last_epoch, conn) = self.handshake(stream, k)?;
-                    if slots[id].is_some() {
-                        return Err(NetError::Protocol(format!("duplicate worker id {id}")));
-                    }
+        loop {
+            for (id, conn) in self.accept_hellos(k)? {
+                if slots[id].is_none() {
                     slots[id] = Some(conn);
                     accepted += 1;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(NetError::Protocol(format!(
-                            "only {accepted}/{k} workers connected within {:?}",
-                            self.accept_timeout
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(NetError::Io(e)),
             }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("all accepted"))
-            .collect())
-    }
-
-    /// Drains pending reconnects into the parking lot without blocking.
-    /// A hello claiming a currently-live id is a zombie and its connection
-    /// is closed; a second reconnect of the same parked id replaces the
-    /// first (the worker retried).
-    fn drain_accepts(
-        &self,
-        k: usize,
-        conns: &[Option<Conn>],
-        pending: &mut Vec<(usize, Conn)>,
-        raw: &mut (u64, u64),
-    ) -> Result<(), NetError> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => match self.handshake(stream, k) {
-                    Ok((id, _last_epoch, conn)) => {
-                        if conns[id].is_some() {
-                            retire(conn, raw);
-                            continue;
-                        }
-                        if let Some(pos) = pending.iter().position(|(pid, _)| *pid == id) {
-                            retire(pending.swap_remove(pos).1, raw);
-                        }
-                        pending.push((id, conn));
-                    }
-                    // A reconnect that fails its own handshake harms only
-                    // itself; the run goes on.
-                    Err(NetError::Io(e)) => return Err(NetError::Io(e)),
-                    Err(_) => continue,
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) => return Err(NetError::Io(e)),
+            if accepted == k {
+                return Ok(slots
+                    .into_iter()
+                    .map(|s| s.expect("all accepted"))
+                    .collect());
             }
+            if Instant::now() >= deadline {
+                return Err(NetError::Protocol(format!(
+                    "only {accepted}/{k} workers connected within {:?}",
+                    self.accept_timeout
+                )));
+            }
+            std::thread::sleep(Duration::from_millis(2));
         }
     }
 
@@ -407,26 +480,16 @@ impl Coordinator {
         assert!(spec.steps >= 1, "coordinator: need at least one step");
         let template = spec.cluster.model.build(spec.cluster.seed, 0);
         let dim = template.param_count();
-        let w0 = template.params_flat();
-        let monitor = spec.fda.variant.build_monitor(dim);
-        // Template for validating deposit shapes before `average_refs`.
-        let state_shape = monitor.local_state(&vec![0.0f32; dim]);
-        let mode = AccountingMode::PerWorkerPayload;
-        // The job's uplink codec: State/Model payloads arrive encoded and
-        // are decoded against the expected shape. Accounted bytes follow
-        // the simulator's convention — a state charges its raw 4-byte
-        // drift scalar plus the encoded summary (the tag/dims header is
-        // uncharged self-description), a model charges its encoded
-        // payload (minus the 4-byte length header).
-        let codec = spec.codec.build();
-        let coded = !spec.codec.is_dense();
-        // The job's downlink mode: `Some(codec)` switches the consensus
-        // broadcast to `AvgModelDelta` frames and makes the shared lossy
-        // reconstruction the authoritative consensus (see
-        // `fda_comm::delta_downlink`); `None` keeps the historical dense
-        // `AvgModel` broadcast bit-for-bit.
-        let downlink_codec = spec.downlink.build();
+        let mut engine = RoundEngine::for_job(spec, template.params_flat());
+        // Template for validating deposit shapes before the reduce.
+        let state_shape = engine.monitor().local_state(&vec![0.0f32; dim]);
+        // Accounted bytes follow the simulator's convention: a state
+        // charges its raw 4-byte drift scalar plus the encoded summary (the
+        // tag/dims header is uncharged self-description), a model charges
+        // its encoded payload (minus the 4-byte length header).
         let state_overhead = state_frame_overhead(&state_shape);
+        let mode = AccountingMode::PerWorkerPayload;
+        let downlink_kind = downlink_kind(spec.downlink);
         let mut tele: Option<JsonlWriter> = match &self.telemetry {
             Some(path) => Some(JsonlWriter::create(path)?),
             None => None,
@@ -437,91 +500,58 @@ impl Coordinator {
         // handoff is `Resume { round: 0, model: w_0, prev: None }`, a
         // bitwise no-op for a fresh replica, so there is exactly one join
         // path for first joins and rejoins alike.
-        let mut epoch: u32 = 1;
-        let formed = self.accept_workers(k)?;
-        let mut conns: Vec<Option<Conn>> = formed.into_iter().map(Some).collect();
+        let mut m = Members {
+            conns: self.accept_workers(k)?.into_iter().map(Some).collect(),
+            live: (0..k).collect(),
+            parked: Vec::new(),
+            events: (0..k as u32)
+                .map(|w| MembershipEvent {
+                    round: 0,
+                    worker: w,
+                    event: MemberEvent::Joined { rejoin: false },
+                })
+                .collect(),
+            epoch: 1,
+            raw: (0, 0),
+            min_workers: self.policy.min_workers,
+            read_timeout: self.read_timeout,
+        };
         let config_payload = fda_core::wire::encode_job(spec);
-        let mut resume_model = w0;
-        let mut resume_prev: Option<Vec<f32>> = None;
-        for conn in conns.iter_mut().flatten() {
-            conn.send_raw(epoch, FrameKind::Config, &config_payload)?;
-            let (kind, payload) = resume_msg(0, &resume_model, &resume_prev);
-            conn.send_raw(epoch, kind, &payload)?;
+        let resume = resume_payload(0, &engine);
+        for conn in m.conns.iter_mut().flatten() {
+            conn.send_raw(m.epoch, FrameKind::Config, &config_payload)?;
+            conn.send_raw(m.epoch, FrameKind::Resume, &resume)?;
         }
 
-        // Charged accounting and model-AllReduce arithmetic: the
-        // simulator's own code path. On a membership change the fabric is
-        // rebuilt at the new K′ and the old era's charges are banked; a
-        // fault-free run keeps one fabric end to end.
+        // The charged ledger; the engine moves it to K′ on a membership
+        // change, so a fault-free run keeps one era end to end.
         let mut net = SimNetwork::new(k);
-        let mut charged_banked = 0u64;
         let mut measured_payload = 0u64;
-        let mut raw_retired = (0u64, 0u64); // (tx, rx) of closed conns
-        let mut pending: Vec<(usize, Conn)> = Vec::new();
-        let mut events: Vec<MembershipEvent> = (0..k as u32)
-            .map(|w| MembershipEvent {
-                round: 0,
-                worker: w,
-                event: MemberEvent::Joined { rejoin: false },
-            })
-            .collect();
         let mut decisions = Vec::with_capacity(spec.steps as usize);
         let mut estimates = Vec::with_capacity(spec.steps as usize);
-        let mut syncs = 0u64;
         let mut downlink_model_bytes = 0u64;
 
-        // Round-persistent scratch: the broadcast payload is encoded once
-        // per round into `bcast` and fanned out as a borrowed slice to
-        // every worker (the frame layer stamps each header separately and
-        // never copies the payload), and the per-worker deposit slots are
-        // reset in place — the steady-state round loop performs a small
-        // constant number of allocations.
+        // Round-persistent scratch: the avg-state broadcast is encoded once
+        // per round into `bcast` and fanned out as a borrowed slice, and a
+        // phase's accepted payloads — exactly the survivors', in id order —
+        // collect into reused buffers, so the steady-state round loop
+        // performs a small constant number of allocations.
         let mut bcast: Vec<u8> = Vec::new();
-        let mut states: Vec<Option<LocalState>> = (0..k).map(|_| None).collect();
-        let mut state_bytes: Vec<u64> = vec![0; k];
-        let mut models: Vec<Option<Vec<f32>>> = (0..k).map(|_| None).collect();
-        let mut model_bytes: Vec<u64> = vec![0; k];
-
-        // Applies a batch of drops: close, log, bump the epoch once.
-        let apply_drops = |drops: &[(usize, DropReason)],
-                           round: u32,
-                           conns: &mut Vec<Option<Conn>>,
-                           events: &mut Vec<MembershipEvent>,
-                           epoch: &mut u32,
-                           raw: &mut (u64, u64)| {
-            if drops.is_empty() {
-                return;
-            }
-            for &(id, reason) in drops {
-                let conn = conns[id].take().expect("dropping a live conn");
-                retire(conn, raw);
-                events.push(MembershipEvent {
-                    round,
-                    worker: id as u32,
-                    event: MemberEvent::Dropped(reason),
-                });
-            }
-            *epoch += 1;
-        };
-        let alive_ids =
-            |conns: &Vec<Option<Conn>>| (0..k).filter(|&i| conns[i].is_some()).collect::<Vec<_>>();
-        let quorum = |alive: usize, round: u32| -> Result<(), NetError> {
-            if alive < self.policy.min_workers {
-                Err(NetError::Quorum {
-                    round,
-                    alive,
-                    min_workers: self.policy.min_workers,
-                })
-            } else {
-                Ok(())
-            }
+        let mut states: Vec<LocalState> = Vec::with_capacity(k);
+        let mut models: Vec<Vec<f32>> = Vec::with_capacity(k);
+        let mut bytes: Vec<u64> = Vec::with_capacity(k);
+        // Survivors' payload bytes, measured under the accounting mode.
+        let measure = |bytes: &[u64]| -> u64 {
+            bytes
+                .iter()
+                .map(|&b| mode.per_worker_bytes(b, bytes.len()))
+                .sum()
         };
 
         for step in 0..spec.steps {
-            // Telemetry bookkeeping: membership events and measured bytes
-            // appended past these marks belong to this round.
-            let events_mark = events.len();
-            let measured_before = measured_payload;
+            // Membership events appended past this mark belong to this
+            // round's telemetry.
+            let events_mark = m.events.len();
             let mut deposit_us: Vec<(u32, u64)> = Vec::new();
 
             // (0) Scheduled re-admissions: wait for each worker due this
@@ -536,16 +566,16 @@ impl Coordinator {
                 .collect();
             for w in due {
                 let id = w as usize;
-                if id >= k || conns[id].is_some() {
+                if id >= k || m.conns[id].is_some() {
                     return Err(NetError::Protocol(format!(
                         "admission schedule: worker {w} at round {step} is not a dropped worker"
                     )));
                 }
                 let deadline = Instant::now() + self.accept_timeout;
                 let mut conn = loop {
-                    self.drain_accepts(k, &conns, &mut pending, &mut raw_retired)?;
-                    if let Some(pos) = pending.iter().position(|(pid, _)| *pid == id) {
-                        break pending.swap_remove(pos).1;
+                    m.park(self.accept_hellos(k)?);
+                    if let Some(pos) = m.parked.iter().position(|(pid, _)| *pid == id) {
+                        break m.parked.swap_remove(pos).1;
                     }
                     if Instant::now() >= deadline {
                         return Err(NetError::Protocol(format!(
@@ -556,12 +586,12 @@ impl Coordinator {
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 };
-                epoch += 1;
-                conn.send_raw(epoch, FrameKind::Config, &config_payload)?;
-                let (kind, payload) = resume_msg(step, &resume_model, &resume_prev);
-                conn.send_raw(epoch, kind, &payload)?;
-                conns[id] = Some(conn);
-                events.push(MembershipEvent {
+                m.epoch += 1;
+                conn.send_raw(m.epoch, FrameKind::Config, &config_payload)?;
+                conn.send_raw(m.epoch, FrameKind::Resume, &resume_payload(step, &engine))?;
+                m.conns[id] = Some(conn);
+                m.live.insert(m.live.partition_point(|&x| x < id), id);
+                m.events.push(MembershipEvent {
                     round: step,
                     worker: w,
                     event: MemberEvent::Joined { rejoin: true },
@@ -569,207 +599,78 @@ impl Coordinator {
             }
 
             // (1) Deposit: one state frame per live worker, read in id
-            // order under the round's deadline.
-            let deposit_deadline = Instant::now() + self.policy.deposit_timeout;
-            states.fill(None);
-            state_bytes.fill(0);
-            let mut drops: Vec<(usize, DropReason)> = Vec::new();
-            for id in 0..k {
-                let Some(conn) = conns[id].as_mut() else {
-                    continue;
-                };
-                let remaining = deposit_deadline
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(1));
-                conn.set_read_timeout(remaining)?;
-                let t0 = tele.as_ref().map(|_| Instant::now());
-                match conn.recv_frame_current() {
-                    // The coded decoder validates tag, dims and payload
-                    // totality against the expected template before any
-                    // allocation; a mismatch is the same protocol drop a
-                    // wrong-shaped dense deposit always was.
-                    Ok(FrameKind::State) => {
-                        match decode_state_coded(&conn.rbuf[1..], &state_shape, codec.as_ref()) {
-                            Ok(s) => {
-                                if let Some(t0) = t0 {
-                                    deposit_us.push((id as u32, t0.elapsed().as_micros() as u64));
-                                }
-                                states[id] = Some(s);
-                                state_bytes[id] = conn.rbuf.len() as u64 - 1 - state_overhead;
-                            }
-                            Err(_) => drops.push((id, DropReason::Protocol)),
-                        }
-                    }
-                    Ok(_) => drops.push((id, DropReason::Protocol)),
-                    Err(e) => drops.push((id, drop_reason(&e))),
-                }
-            }
-            apply_drops(
-                &drops,
+            // order under the round's deadline. The coded decoder
+            // validates tag, dims and payload totality against the
+            // expected template before any allocation; a mismatch is a
+            // protocol drop.
+            states.clear();
+            bytes.clear();
+            let deadline = Instant::now() + self.policy.deposit_timeout;
+            m.recv_each(
+                FrameKind::State,
                 step,
-                &mut conns,
-                &mut events,
-                &mut epoch,
-                &mut raw_retired,
-            );
-            let alive = alive_ids(&conns);
-            quorum(alive.len(), step)?;
-            for &id in &alive {
-                conns[id]
-                    .as_ref()
-                    .expect("alive")
-                    .set_read_timeout(self.read_timeout)?;
-            }
+                Some(deadline),
+                |id, payload, waited| match decode_state_coded(
+                    payload,
+                    &state_shape,
+                    engine.codec(),
+                ) {
+                    Ok(s) => {
+                        if tele.is_some() {
+                            deposit_us.push((id as u32, waited.as_micros() as u64));
+                        }
+                        states.push(s);
+                        bytes.push(payload.len() as u64 - state_overhead);
+                        true
+                    }
+                    Err(_) => false,
+                },
+            )?;
 
-            // Charge the state AllReduce at the surviving K′ and measure
-            // the deposits that were actually averaged. Dense keeps the
-            // historical flat charge (`monitor.state_bytes()` per worker);
-            // coded payloads charge exactly what each worker emitted.
-            ensure_net(&mut net, &mut charged_banked, alive.len());
-            if coded {
-                let payloads: Vec<u64> = alive.iter().map(|&id| state_bytes[id]).collect();
-                net.charge_per_worker(&payloads);
-            } else {
-                net.charge_allreduce(monitor.state_bytes());
-            }
-            for &id in &alive {
-                measured_payload += mode.per_worker_bytes(state_bytes[id], alive.len());
-            }
-            let round_alive = alive.len() as u32;
-            let measured_after_state = measured_payload;
-
-            // (2) Reduce over the survivor set in worker-id order + the
-            // decision.
-            let refs: Vec<&LocalState> = alive
-                .iter()
-                .map(|&id| states[id].as_ref().expect("alive worker deposited"))
-                .collect();
-            let avg = LocalState::average_refs(&refs);
-            let estimate = monitor.estimate(&avg);
-            let sync = estimate > spec.fda.theta;
+            // (2) The engine charges, reduces (survivors in id order) and
+            // decides; the deposits it averaged are measured.
+            measured_payload += measure(&bytes);
+            let refs: Vec<&LocalState> = states.iter().collect();
+            let (estimate, sync) = engine.decide(&mut net, &refs, &bytes, None);
             estimates.push(estimate);
             decisions.push(sync);
 
-            // (3) Broadcast the averaged state + decision — encoded once
-            // into the round scratch, fanned out as a borrowed slice; a
-            // failed write is a drop, not a run abort.
+            // (3) Broadcast the averaged state + decision.
             bcast.clear();
             bcast.push(sync as u8);
-            encode_state_into(&avg, &mut bcast);
-            let mut drops: Vec<(usize, DropReason)> = Vec::new();
-            for &id in &alive {
-                let conn = conns[id].as_mut().expect("alive");
-                if let Err(e) = conn.send_raw(epoch, FrameKind::AvgState, &bcast) {
-                    drops.push((id, drop_reason(&e)));
-                }
-            }
-            apply_drops(
-                &drops,
-                step,
-                &mut conns,
-                &mut events,
-                &mut epoch,
-                &mut raw_retired,
-            );
-            let alive = alive_ids(&conns);
-            quorum(alive.len(), step)?;
+            encode_state_into(engine.avg_state(), &mut bcast);
+            m.send_each(FrameKind::AvgState, &bcast, step)?;
 
-            // (4) Conditional model AllReduce through the SimNetwork.
+            // (4) Conditional model AllReduce over the uploads that
+            // arrive (a model charges its encoded payload; the 4-byte
+            // length header is framing), then the engine's downlink.
             if sync {
-                models.fill(None);
-                model_bytes.fill(0);
-                let mut drops: Vec<(usize, DropReason)> = Vec::new();
-                for &id in &alive {
-                    let conn = conns[id].as_mut().expect("alive");
-                    match conn.recv_frame_current() {
-                        Ok(FrameKind::Model) => {
-                            match decode_vector_coded(&conn.rbuf[1..], dim, codec.as_ref()) {
-                                Ok(v) => {
-                                    models[id] = Some(v);
-                                    // Charge the encoded payload; the
-                                    // 4-byte length header is framing.
-                                    model_bytes[id] = conn.rbuf.len() as u64 - 1 - 4;
-                                }
-                                Err(_) => drops.push((id, DropReason::Protocol)),
-                            }
+                models.clear();
+                bytes.clear();
+                m.recv_each(
+                    FrameKind::Model,
+                    step,
+                    None,
+                    |_, payload, _| match decode_vector_coded(payload, dim, engine.codec()) {
+                        Ok(v) => {
+                            models.push(v);
+                            bytes.push(payload.len() as u64 - 4);
+                            true
                         }
-                        Ok(_) => drops.push((id, DropReason::Protocol)),
-                        Err(e) => drops.push((id, drop_reason(&e))),
-                    }
-                }
-                apply_drops(
-                    &drops,
-                    step,
-                    &mut conns,
-                    &mut events,
-                    &mut epoch,
-                    &mut raw_retired,
-                );
-                let alive = alive_ids(&conns);
-                quorum(alive.len(), step)?;
-
-                ensure_net(&mut net, &mut charged_banked, alive.len());
-                let mut bufs: Vec<Vec<f32>> = alive
-                    .iter()
-                    .map(|&id| models[id].take().expect("alive worker uploaded"))
-                    .collect();
-                if coded {
-                    let payloads: Vec<u64> = alive.iter().map(|&id| model_bytes[id]).collect();
-                    net.allreduce_mean_with(&mut bufs, &payloads);
-                } else {
-                    net.allreduce_mean(&mut bufs);
-                }
-                for &id in &alive {
-                    measured_payload += mode.per_worker_bytes(model_bytes[id], alive.len());
-                }
-
-                // Downlink: encode the consensus once into the round
-                // scratch — dense `AvgModel`, or the delta against the
-                // previous broadcast under delta mode, in which case the
-                // authoritative consensus becomes the shared lossy
-                // reconstruction (what every worker will compute).
-                let mean = bufs.swap_remove(0);
-                bcast.clear();
-                let (kind, consensus) = match &downlink_codec {
-                    Some(dc) => {
-                        let (payload, recon) = delta_downlink(&resume_model, &mean, dc.as_ref());
-                        bcast.extend_from_slice(&(dim as u32).to_le_bytes());
-                        bcast.extend_from_slice(&payload);
-                        (FrameKind::AvgModelDelta, recon)
-                    }
-                    None => {
-                        encode_vector_into(&mean, &mut bcast);
-                        (FrameKind::AvgModel, mean)
-                    }
-                };
-                let mut drops: Vec<(usize, DropReason)> = Vec::new();
-                for &id in &alive {
-                    let conn = conns[id].as_mut().expect("alive");
-                    match conn.send_raw(epoch, kind, &bcast) {
-                        Ok(()) => downlink_model_bytes += bcast.len() as u64,
-                        Err(e) => drops.push((id, drop_reason(&e))),
-                    }
-                }
-                apply_drops(
-                    &drops,
-                    step,
-                    &mut conns,
-                    &mut events,
-                    &mut epoch,
-                    &mut raw_retired,
-                );
-                quorum(alive_ids(&conns).len(), step)?;
-
-                // The versioned handoff advances with the consensus (the
-                // reconstruction, under delta mode — a rejoin's dense
-                // `Resume` must hand over exactly what the survivors
-                // hold).
-                resume_prev = Some(std::mem::replace(&mut resume_model, consensus));
-                syncs += 1;
+                        Err(_) => false,
+                    },
+                )?;
+                measured_payload += measure(&bytes);
+                let uploads: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
+                let downlink = engine.sync(&mut net, &uploads, &bytes, None);
+                m.send_each(downlink_kind, downlink, step)?;
+                downlink_model_bytes += m.live.len() as u64 * downlink.len() as u64;
             }
 
             if let Some(w) = tele.as_mut() {
-                let drops: Vec<DropRecord> = events[events_mark..]
+                let mut ev = engine.round_event("net", step + 1, m.epoch, measured_payload);
+                ev.deposit_us = deposit_us;
+                ev.drops = m.events[events_mark..]
                     .iter()
                     .filter_map(|e| match e.event {
                         MemberEvent::Dropped(r) => Some(DropRecord {
@@ -779,75 +680,52 @@ impl Coordinator {
                         MemberEvent::Joined { .. } => None,
                     })
                     .collect();
-                let ev = RoundEvent {
-                    source: "net".into(),
-                    round: step + 1,
-                    epoch,
-                    alive: round_alive,
-                    decision: sync,
-                    estimate,
-                    theta: spec.fda.theta,
-                    codec: spec.codec.name().into(),
-                    state_bytes: measured_after_state - measured_before,
-                    model_bytes: measured_payload - measured_after_state,
-                    charged_bytes: charged_banked + net.total_bytes(),
-                    measured_bytes: measured_payload,
-                    deposit_us,
-                    drops,
-                };
                 w.write(&ev.to_json())?;
             }
         }
 
         // Final collection (uncharged, like `Cluster::average_params`).
-        let alive = alive_ids(&conns);
-        let mut survivors: Vec<u32> = Vec::with_capacity(alive.len());
-        let mut worker_params: Vec<Vec<f32>> = Vec::with_capacity(alive.len());
-        let mut drops: Vec<(usize, DropReason)> = Vec::new();
-        for &id in &alive {
-            let conn = conns[id].as_mut().expect("alive");
-            match conn.recv_current() {
-                Ok(Msg::FinalModel(v)) if v.len() == dim => {
-                    survivors.push(id as u32);
-                    worker_params.push(v);
-                }
-                Ok(_) => drops.push((id, DropReason::Protocol)),
-                Err(e) => drops.push((id, drop_reason(&e))),
-            }
-        }
-        apply_drops(
-            &drops,
+        let mut worker_params: Vec<Vec<f32>> = Vec::with_capacity(k);
+        m.recv_each(
+            FrameKind::FinalModel,
             spec.steps,
-            &mut conns,
-            &mut events,
-            &mut epoch,
-            &mut raw_retired,
-        );
-        quorum(survivors.len(), spec.steps)?;
-        for conn in conns.iter_mut().flatten() {
-            conn.send_raw(epoch, FrameKind::Shutdown, &[])?;
+            None,
+            |_, payload, _| match Msg::decode(FrameKind::FinalModel, payload) {
+                Ok(Msg::FinalModel(v)) if v.len() == dim => {
+                    worker_params.push(v);
+                    true
+                }
+                _ => false,
+            },
+        )?;
+        for conn in m.conns.iter_mut().flatten() {
+            conn.send_raw(m.epoch, FrameKind::Shutdown, &[])?;
             conn.stream.flush()?;
         }
 
         let refs: Vec<&[f32]> = worker_params.iter().map(|p| p.as_slice()).collect();
         let final_params = vector::mean(&refs);
-        let live_tx: u64 = conns.iter().flatten().map(|c| c.stream.tx_bytes()).sum();
-        let live_rx: u64 = conns.iter().flatten().map(|c| c.stream.rx_bytes()).sum();
-        let parked_tx: u64 = pending.iter().map(|(_, c)| c.stream.tx_bytes()).sum();
-        let parked_rx: u64 = pending.iter().map(|(_, c)| c.stream.rx_bytes()).sum();
+        let live = m
+            .conns
+            .iter()
+            .flatten()
+            .chain(m.parked.iter().map(|(_, c)| c));
+        let (live_tx, live_rx) = live.fold((0, 0), |(tx, rx), c| {
+            (tx + c.stream.tx_bytes(), rx + c.stream.rx_bytes())
+        });
         let report = NetReport {
-            syncs,
+            syncs: engine.syncs(),
             decisions,
             estimates,
-            charged_bytes: charged_banked + net.total_bytes(),
+            charged_bytes: net.total_bytes(),
             measured_payload_bytes: measured_payload,
-            raw_tx_bytes: raw_retired.0 + live_tx + parked_tx,
-            raw_rx_bytes: raw_retired.1 + live_rx + parked_rx,
+            raw_tx_bytes: m.raw.0 + live_tx,
+            raw_rx_bytes: m.raw.1 + live_rx,
             downlink_model_bytes,
             worker_params,
             final_params,
-            survivors,
-            events,
+            survivors: m.live.iter().map(|&id| id as u32).collect(),
+            events: m.events,
         };
         if let Some(mut w) = tele {
             w.write(&run_event(&report, spec).to_json())?;
@@ -900,25 +778,14 @@ pub fn run_event(report: &NetReport, spec: &JobSpec) -> RunEvent {
     }
 }
 
-/// Encodes the `Resume` handoff without cloning the model vectors into a
-/// `Msg`.
-fn resume_msg(round: u32, model: &[f32], prev: &Option<Vec<f32>>) -> (FrameKind, Vec<u8>) {
-    let mut p = Vec::with_capacity(9 + model.len() * 4);
-    p.extend_from_slice(&round.to_le_bytes());
-    p.push(prev.is_some() as u8);
-    p.extend_from_slice(&encode_vector(model));
-    if let Some(prev) = prev {
-        p.extend_from_slice(&encode_vector(prev));
-    }
-    (FrameKind::Resume, p)
-}
-
-/// Rebuilds the charged fabric when the live worker count changes, banking
-/// the finished era's charges. A fault-free run never rebuilds, so its
-/// charged counters are the simulator's, untouched.
-fn ensure_net(net: &mut SimNetwork, banked: &mut u64, k: usize) {
-    if net.workers() != k {
-        *banked += net.total_bytes();
-        *net = SimNetwork::new(k);
-    }
+/// The `Resume` handoff payload at `round`: the engine's consensus pair —
+/// for a rejoin, exactly what the survivors hold (the reconstruction,
+/// under a delta downlink).
+fn resume_payload(round: u32, engine: &RoundEngine) -> Vec<u8> {
+    let msg = Msg::Resume {
+        round,
+        model: engine.consensus().to_vec(),
+        prev_model: engine.prev_consensus().map(<[f32]>::to_vec),
+    };
+    msg.encode().1
 }

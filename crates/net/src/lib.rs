@@ -1,18 +1,17 @@
 //! # fda-net — FDA over real sockets.
 //!
-//! Every other driver in the workspace (sequential simulator, pooled
-//! [`fda_core::pool::WorkerPool`], [`fda_comm::ThreadedReducer`]) lives in
-//! one OS process and *charges* communication bytes analytically. This
-//! crate is the deployment path the paper's efficiency claim is about: the
-//! full FDA loop across **OS processes**, every local state and model
-//! payload actually serialized through `fda_core::wire` and shipped over
-//! TCP.
+//! The other drivers in the workspace (sequential simulator, pooled
+//! [`fda_core::pool::WorkerPool`]) live in one OS process and *charge*
+//! communication bytes analytically. This crate is the deployment path the
+//! paper's efficiency claim is about: the full FDA loop across **OS
+//! processes**, every local state and model payload actually serialized
+//! through `fda_core::wire` and shipped over TCP.
 //!
 //! Two properties are load-bearing, and both are asserted by tests:
 //!
-//! 1. **Bit-identity** — the coordinator reduces deposited states and
-//!    models in worker-id order with the repo's copy-first association
-//!    (model AllReduces literally run through [`fda_comm::SimNetwork`]),
+//! 1. **Bit-identity** — the coordinator runs every round's server half
+//!    through [`fda_core::round::RoundEngine`], the same engine the
+//!    simulator drives (worker-id-order reduces, copy-first association),
 //!    and workers rebuild their replicas via
 //!    [`fda_core::cluster::ClusterConfig::build_worker`], so a K-process
 //!    TCP run reproduces the sequential simulator's trajectory — every

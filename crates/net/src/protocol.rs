@@ -17,6 +17,7 @@
 use crate::frame::{
     read_frame, read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION,
 };
+use fda_comm::DownlinkSpec;
 use fda_core::monitor::LocalState;
 use fda_core::wire::{
     decode_job, decode_state, decode_vector, decode_vector_at, encode_job, encode_state,
@@ -263,6 +264,16 @@ impl Msg {
     }
 }
 
+/// The frame kind a job's consensus downlink travels in: `AvgModel`
+/// for the dense broadcast, `AvgModelDelta` for a delta downlink.
+pub fn downlink_kind(spec: DownlinkSpec) -> FrameKind {
+    if spec.is_dense() {
+        FrameKind::AvgModel
+    } else {
+        FrameKind::AvgModelDelta
+    }
+}
+
 /// Receives the next message stamped with exactly `epoch`.
 ///
 /// Frames from an **older** epoch are discarded (up to
@@ -271,32 +282,20 @@ impl Msg {
 /// averaged into `S̄`. A frame claiming a **future** epoch is a protocol
 /// violation (the coordinator is the only epoch authority).
 pub fn recv_at_epoch<R: Read>(r: &mut R, epoch: u32) -> Result<Msg, NetError> {
-    let (kind, payload) = recv_frame_at_epoch(r, epoch)?;
-    Msg::decode(kind, &payload)
-}
-
-/// [`recv_at_epoch`] at the frame layer: returns the current-epoch frame's
-/// kind and raw payload without interpreting it. This is the receive path
-/// for payloads whose decoding needs out-of-band context (a coded state or
-/// model upload needs the negotiated codec and the expected shape);
-/// stale-epoch frames are skipped on their headers alone — a zombie's
-/// coded deposit must be discardable without being decodable.
-pub fn recv_frame_at_epoch<R: Read>(
-    r: &mut R,
-    epoch: u32,
-) -> Result<(FrameKind, Vec<u8>), NetError> {
     let mut buf = Vec::new();
     let kind = recv_frame_at_epoch_into(r, epoch, &mut buf)?;
-    buf.copy_within(1.., 0);
-    buf.truncate(buf.len() - 1);
-    Ok((kind, buf))
+    Msg::decode(kind, &buf[1..])
 }
 
-/// [`recv_frame_at_epoch`] into a caller-owned buffer: on success `buf`
-/// holds the frame body (kind byte + payload, so the payload is
-/// `&buf[1..]`, as with [`read_frame_into`]). The round loops hold one
-/// buffer per connection and call this, so steady-state receives allocate
-/// nothing.
+/// [`recv_at_epoch`] at the frame layer, into a caller-owned buffer: on
+/// success `buf` holds the current-epoch frame's body (kind byte +
+/// payload, so the payload is `&buf[1..]`, as with [`read_frame_into`]),
+/// uninterpreted. This is the receive path for payloads whose decoding
+/// needs out-of-band context (a coded state or model upload needs the
+/// negotiated codec and the expected shape); stale-epoch frames are
+/// skipped on their headers alone — a zombie's coded deposit must be
+/// discardable without being decodable. The round loops hold one buffer
+/// per connection, so steady-state receives allocate nothing.
 pub fn recv_frame_at_epoch_into<R: Read>(
     r: &mut R,
     epoch: u32,

@@ -29,9 +29,9 @@ use crate::fault::{Backoff, FaultAction, RejoinPolicy, FAULT_EXIT_CODE};
 use crate::frame::{
     encode_frame, read_frame_into, write_frame, CountingStream, FrameKind, NetError,
 };
-use crate::protocol::Msg;
-use fda_comm::apply_delta_downlink;
+use crate::protocol::{downlink_kind, Msg};
 use fda_core::cluster::Worker;
+use fda_core::round::{apply_downlink, evaluate, RoundEngine};
 use fda_core::wire::{encode_state_coded_into, encode_vector_coded_into, JobSpec};
 use fda_tensor::vector;
 use std::io::Write as _;
@@ -270,42 +270,34 @@ fn run_session(
     let task = spec.synth.generate(&spec.task_name);
     let mut worker: Worker = spec.cluster.build_worker(&task.train, session.id as usize);
     let dim = worker.model().param_count();
-    let mut monitor = spec.fda.variant.build_monitor(dim);
-    // The job's uplink codec: every State/Model upload is its encoding.
-    // For `Dense` the encoded frames are byte-identical to the historical
-    // layouts, so dense runs are bitwise indistinguishable from pre-codec
-    // peers.
-    let codec = spec.codec.build();
-    // The job's downlink spec: under a delta downlink the consensus model
-    // arrives as an `AvgModelDelta` frame coded against the last synced
-    // model, not a dense `AvgModel` broadcast. Rejoin handoffs (`Resume`)
-    // stay dense either way.
-    let downlink_codec = spec.downlink.build();
-    if resume_model.len() != dim {
-        return Err(NetError::Protocol(format!(
-            "worker {}: resume model has {} params, replica has {dim}",
-            session.id,
-            resume_model.len()
-        )));
-    }
-
-    // The versioned handoff: adopt the consensus model as `w_t0` and, when
-    // a synchronization already happened, replay its `on_sync` so
-    // direction-tracking monitors (LinearFDA's ξ) match the workers that
-    // never left, bit for bit. At formation this loads `w_0` into a
-    // replica already holding `w_0` — a bitwise no-op.
-    if let Some(prev) = &resume_prev {
-        if prev.len() != dim {
+    for v in std::iter::once(&resume_model).chain(&resume_prev) {
+        if v.len() != dim {
             return Err(NetError::Protocol(format!(
-                "worker {}: resume prev-model has {} params, replica has {dim}",
+                "worker {}: resume model has {} params, replica has {dim}",
                 session.id,
-                prev.len()
+                v.len()
             )));
         }
-        monitor.on_sync(&resume_model, prev);
     }
+
+    // The versioned handoff: the engine (the job's monitor, Θ and codecs)
+    // adopts the consensus model as `w_t0` and, when a synchronization
+    // already happened, adopts it over the previous consensus so that
+    // direction-tracking monitors (LinearFDA's ξ) replay `on_sync` and
+    // match the workers that never left, bit for bit. At formation this
+    // loads `w_0` into a replica already holding `w_0` — a bitwise no-op.
     worker.model_mut().load_params(&resume_model);
-    let mut w_sync = resume_model;
+    let mut engine = match resume_prev {
+        Some(prev) => {
+            let mut engine = RoundEngine::for_job(&spec, prev);
+            engine.adopt(resume_model);
+            engine
+        }
+        None => RoundEngine::for_job(&spec, resume_model),
+    };
+    // Under a delta downlink the consensus arrives as an `AvgModelDelta`
+    // frame coded against the last synced model; `Resume` stays dense.
+    let downlink_kind = downlink_kind(spec.downlink);
     let mut params = vec![0.0f32; dim];
     let mut drift = vec![0.0f32; dim];
     // Round-persistent uplink scratch: every State/Model payload is
@@ -319,10 +311,10 @@ fn run_session(
         worker.model().copy_params_to(&mut params);
 
         // (2) Local state from the drift — the point scripted faults hit.
-        vector::sub_into(&params, &w_sync, &mut drift);
-        let state = monitor.local_state(&drift);
+        vector::sub_into(&params, engine.consensus(), &mut drift);
+        let state = engine.monitor().local_state(&drift);
         ubuf.clear();
-        encode_state_coded_into(&state, codec.as_ref(), &mut ubuf);
+        encode_state_coded_into(&state, engine.codec(), &mut ubuf);
         match apply_faults(session, step, opts, &ubuf)? {
             FaultOutcome::Sent => {}
             FaultOutcome::Terminal(action) => {
@@ -330,17 +322,17 @@ fn run_session(
             }
         }
 
-        // (3) The averaged state. As in the threaded driver, every
-        // worker holds the same S̄ and evaluates `H(S̄) > Θ` itself —
-        // the decision byte is a cross-check, not a trusted oracle;
-        // any disagreement (a coordinator running different monitor
-        // code, a corrupted frame that still decoded) is a protocol
-        // error, not a silent divergence.
+        // (3) The averaged state. Every worker holds the same S̄ and
+        // evaluates `H(S̄) > Θ` itself with the engine's rule — the
+        // decision byte is a cross-check, not a trusted oracle; any
+        // disagreement (a coordinator running different monitor code, a
+        // corrupted frame that still decoded) is a protocol error, not a
+        // silent divergence.
         let (avg, sync) = match session.recv()? {
             Msg::AvgState { state, sync } => (state, sync),
             other => return Err(session.protocol_err("avg-state", &other)),
         };
-        let local_decision = monitor.estimate(&avg) > spec.fda.theta;
+        let (_, local_decision) = evaluate(engine.monitor(), &avg, engine.theta());
         if local_decision != sync {
             return Err(NetError::Protocol(format!(
                 "worker {}: local H(S̄) decision ({local_decision}) disagrees \
@@ -352,58 +344,21 @@ fn run_session(
         // (4) Conditional model AllReduce.
         if sync {
             ubuf.clear();
-            encode_vector_coded_into(&params, codec.as_ref(), &mut ubuf);
+            encode_vector_coded_into(&params, engine.codec(), &mut ubuf);
             session.send_frame(FrameKind::Model, &ubuf)?;
-            let avg: Vec<f32> = match &downlink_codec {
-                Some(dc) => {
-                    let kind = session.recv_frame()?;
-                    if kind != FrameKind::AvgModelDelta {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: expected avg-model-delta, got {}",
-                            session.id,
-                            kind.label()
-                        )));
-                    }
-                    let payload = &session.rbuf[1..];
-                    if payload.len() < 4 {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: avg-model-delta frame too short ({} bytes)",
-                            session.id,
-                            payload.len()
-                        )));
-                    }
-                    let sent_dim =
-                        u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]])
-                            as usize;
-                    if sent_dim != dim {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: delta consensus has {sent_dim} params, expected {dim}",
-                            session.id
-                        )));
-                    }
-                    apply_delta_downlink(&w_sync, &payload[4..], dc.as_ref()).map_err(|e| {
-                        NetError::Protocol(format!(
-                            "worker {}: undecodable delta downlink: {e}",
-                            session.id
-                        ))
-                    })?
-                }
-                None => match session.recv()? {
-                    Msg::AvgModel(v) if v.len() == dim => v,
-                    Msg::AvgModel(v) => {
-                        return Err(NetError::Protocol(format!(
-                            "worker {}: consensus model has {} params, expected {dim}",
-                            session.id,
-                            v.len()
-                        )));
-                    }
-                    other => return Err(session.protocol_err("avg-model", &other)),
-                },
-            };
+            let kind = session.recv_frame()?;
+            if kind != downlink_kind {
+                return Err(NetError::Protocol(format!(
+                    "worker {}: expected {}, got {}",
+                    session.id,
+                    downlink_kind.label(),
+                    kind.label()
+                )));
+            }
+            let avg = apply_downlink(engine.consensus(), &session.rbuf[1..], engine.downlink())?;
             worker.model_mut().load_params(&avg);
-            monitor.on_sync(&avg, &w_sync);
-            w_sync.copy_from_slice(&avg);
             params.copy_from_slice(&avg);
+            engine.adopt(avg);
             *syncs += 1;
         }
     }

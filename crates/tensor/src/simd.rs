@@ -21,8 +21,8 @@
 //! otherwise the best ISA reported by `is_x86_feature_detected!` is chosen.
 //! The choice is cached in a `OnceLock`, so every subsequent call is a
 //! branch-free indirect call through a fixed table — **deterministic within
-//! a run**: all drivers (sequential simulator, worker pool, threaded
-//! reducer, TCP transport) share the same table, which is why cross-driver
+//! a run**: all drivers (sequential simulator, worker pool, TCP
+//! transport) share the same table, which is why cross-driver
 //! bit-identity survives this layer untouched. Across *arms* the reductions
 //! reassociate (FMA and wider lanes change f32 bit patterns), which is why
 //! the golden-trajectory hashes are host-pinned and re-pinned when the

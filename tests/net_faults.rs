@@ -19,9 +19,11 @@ use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
 use fda::net::{
     run_chaos_with_spawned_workers, run_chaos_with_thread_workers, run_with_thread_workers,
-    DropReason, FaultAction, FaultPlan, MemberEvent, MembershipEvent, NetError, NetReport,
-    RejoinPolicy, RoundPolicy, WorkerOutcome,
+    run_worker, Coordinator, DropReason, FaultAction, FaultPlan, MemberEvent, MembershipEvent, Msg,
+    NetError, NetReport, RejoinPolicy, RoundPolicy, WorkerOptions, WorkerOutcome, PROTOCOL_VERSION,
 };
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
 
@@ -381,6 +383,58 @@ fn empty_plan_matches_clean_run_bitwise() {
             "worker {id} should complete: {w:?}"
         );
     }
+}
+
+/// Stray peers on the coordinator port at formation — raw non-protocol
+/// bytes and a hello speaking another protocol version — cost only their
+/// own connections: the run forms with the K real workers and reproduces
+/// the clean run bit for bit.
+#[test]
+fn stray_peers_at_formation_leave_the_run_bit_identical() {
+    let spec = spec(2, 6);
+    let clean = run_with_thread_workers(&spec).expect("clean run");
+
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = coordinator.local_addr().expect("bound address");
+    // Both strays connect and speak before any worker does.
+    let mut garbage = TcpStream::connect(addr).expect("garbage peer connects");
+    garbage
+        .write_all(b"GET / HTTP/1.0\r\n\r\n")
+        .expect("garbage sent");
+    let mut stale = TcpStream::connect(addr).expect("stale peer connects");
+    Msg::Hello {
+        version: PROTOCOL_VERSION + 1,
+        worker_id: 0,
+        last_epoch: 0,
+    }
+    .send(&mut stale, 0)
+    .expect("stale hello sent");
+
+    let (report, outcomes) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2u32)
+            .map(|id| scope.spawn(move || run_worker(addr, id, &WorkerOptions::default())))
+            .collect();
+        let report = coordinator.run(&spec);
+        // Unbind before joining so workers of a failed run see a reset
+        // instead of waiting out their io timeout.
+        drop(coordinator);
+        let outcomes: Vec<_> = workers
+            .into_iter()
+            .map(|w| w.join().expect("worker thread"))
+            .collect();
+        (report, outcomes)
+    });
+    drop((garbage, stale));
+
+    let report = report.expect("stray peers must not end the run");
+    for outcome in &outcomes {
+        assert!(
+            matches!(outcome, Ok(WorkerOutcome::Completed(_))),
+            "worker should complete: {outcome:?}"
+        );
+    }
+    assert_bit_identical(&report, &clean, "stray peers vs clean");
+    assert_eq!(report.survivors, vec![0, 1]);
 }
 
 /// Seeded plans are values: the same seed draws the same chaos, and a
