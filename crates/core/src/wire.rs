@@ -16,11 +16,15 @@
 //!   tag 2 (Exact):  [ len: u32 ]  [ len × f32 ]
 //! ```
 //!
-//! Model/delta vectors ([`encode_vector`]) are `[ len: u32 ][ len × f32 ]`;
-//! job configs ([`encode_job`]) are a versioned fixed-field frame (see
-//! [`JobSpec`]). Every decoder is total: malformed, truncated, or
-//! hostile-length inputs return a [`DecodeError`] — never a panic, and
-//! never an allocation larger than the buffer that claims to back it.
+//! The `f32` runs are codec payloads, raw under the dense codec.
+//! Model/delta vectors ([`encode_vector_coded_into`]) are
+//! `[ len: u32 ][ codec payload ]`; job configs ([`encode_job`]) are a
+//! versioned fixed-field frame (see [`JobSpec`]). State and vector
+//! encoders append into a caller-owned buffer, so the round loops reuse
+//! one scratch buffer per direction. Every decoder is total: malformed,
+//! truncated, or hostile-length inputs return a [`DecodeError`] — never a
+//! panic, and never an allocation larger than the buffer that claims to
+//! back it.
 
 use crate::cluster::ClusterConfig;
 use crate::fda::{FdaConfig, FdaVariant};
@@ -147,14 +151,8 @@ fn check_f32_run(buf: &[u8], off: usize, count: usize) -> Result<(), DecodeError
     Ok(())
 }
 
-/// Encodes a local state into bytes — the dense layout, i.e.
-/// [`encode_state_coded`] under the identity codec (one code path, so the
-/// layouts cannot diverge).
-pub fn encode_state(state: &LocalState) -> Vec<u8> {
-    encode_state_coded(state, &fda_comm::compress::Dense32)
-}
-
-/// Decodes a state buffer.
+/// Decodes a dense state buffer without a shape template: the header's
+/// tag and dims describe the summary.
 ///
 /// Trailing bytes after the declared payload are rejected as
 /// [`DecodeError::Truncated`]'s dual — a framing bug either way — by
@@ -199,16 +197,6 @@ pub fn decode_state(buf: &[u8]) -> Result<LocalState, DecodeError> {
     })
 }
 
-/// Encodes a flat `f32` vector (full model parameters or a drift/delta):
-/// `[ len: u32 ][ len × f32 ]`.
-///
-/// # Panics
-/// Panics if `v.len()` exceeds `u32::MAX` (a ~17 GB payload — far past any
-/// model this workspace ships).
-pub fn encode_vector(v: &[f32]) -> Vec<u8> {
-    encode_vector_coded(v, &fda_comm::compress::Dense32)
-}
-
 /// Decodes one `[ len: u32 ][ len × f32 ]` vector starting at `*off`,
 /// advancing `*off` past it — the building block for frames that carry
 /// more than one vector (e.g. the transport's `Resume` handoff). The
@@ -224,7 +212,7 @@ pub fn decode_vector_at(buf: &[u8], off: &mut usize) -> Result<Vec<f32>, DecodeE
     Ok(v)
 }
 
-/// Decodes a vector frame produced by [`encode_vector`]. Exact consumption
+/// Decodes a dense vector frame ([`encode_vector_into`]). Exact consumption
 /// is required (trailing bytes are a framing bug), and the declared length
 /// is validated against the buffer before any allocation.
 pub fn decode_vector(buf: &[u8]) -> Result<Vec<f32>, DecodeError> {
@@ -271,28 +259,17 @@ pub fn state_frame_overhead(state: &LocalState) -> u64 {
     }
 }
 
-/// Encodes a local state with its summary run carried as a codec payload:
-/// the [`encode_state`] header (tag, drift scalar, shape dims) followed by
-/// `codec.encode(summary)`. With [`fda_comm::compress::Dense32`] the
-/// output is byte-identical to [`encode_state`] — the dense codec payload
-/// *is* the raw `f32` run — so dense-coded wire traffic is unchanged from
-/// the pre-codec layout.
-pub fn encode_state_coded(state: &LocalState, codec: &dyn Codec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    encode_state_coded_into(state, codec, &mut out);
-    out
-}
-
-/// [`encode_state_coded`] appending into a caller-owned buffer — the
-/// round loops reuse one scratch buffer per direction, so steady-state
-/// serialization allocates nothing. Append semantics (callers clear), so
-/// payloads with a prefix (the avg-state sync byte) compose in place.
+/// Appends a local state with its summary run carried as a codec payload:
+/// the header (tag, drift scalar, shape dims) followed by
+/// `codec.encode(summary)`; under [`fda_comm::compress::Dense32`] the
+/// codec payload is the raw `f32` run. Append semantics (callers clear),
+/// so payloads with a prefix (the avg-state sync byte) compose in place.
 pub fn encode_state_coded_into(state: &LocalState, codec: &dyn Codec, out: &mut Vec<u8>) {
     put_state_header(out, state);
     codec.encode_into(state.summary_slice(), out);
 }
 
-/// [`encode_state`] appending into a caller-owned buffer.
+/// [`encode_state_coded_into`] under the dense codec.
 pub fn encode_state_into(state: &LocalState, out: &mut Vec<u8>) {
     encode_state_coded_into(state, &fda_comm::compress::Dense32, out);
 }
@@ -342,30 +319,21 @@ pub fn decode_state_coded(
     })
 }
 
-/// Encodes a vector with the run carried as a codec payload:
-/// `[ len: u32 ][ codec payload ]`. Byte-identical to [`encode_vector`]
-/// under the dense codec.
+/// Appends a vector (full model parameters or a drift/delta) with the run
+/// carried as a codec payload: `[ len: u32 ][ codec payload ]` (see
+/// [`encode_state_coded_into`] for the append discipline).
 ///
 /// # Panics
-/// Panics if `v.len()` exceeds `u32::MAX`.
-pub fn encode_vector_coded(v: &[f32], codec: &dyn Codec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + v.len() * 4);
-    encode_vector_coded_into(v, codec, &mut out);
-    out
-}
-
-/// [`encode_vector_coded`] appending into a caller-owned buffer (see
-/// [`encode_state_coded_into`] for the reuse discipline).
-///
-/// # Panics
-/// Panics if `v.len()` exceeds `u32::MAX`.
+/// Panics if `v.len()` exceeds `u32::MAX` (a ~17 GB payload — far past any
+/// model this workspace ships).
 pub fn encode_vector_coded_into(v: &[f32], codec: &dyn Codec, out: &mut Vec<u8>) {
     assert!(v.len() <= u32::MAX as usize, "vector too long for the wire");
     put_u32(out, v.len() as u32);
     codec.encode_into(v, out);
 }
 
-/// [`encode_vector`] appending into a caller-owned buffer.
+/// [`encode_vector_coded_into`] under the dense codec:
+/// `[ len: u32 ][ len × f32 ]`.
 pub fn encode_vector_into(v: &[f32], out: &mut Vec<u8>) {
     encode_vector_coded_into(v, &fda_comm::compress::Dense32, out);
 }
@@ -741,11 +709,35 @@ mod tests {
         (0..n).map(|i| (i as f32 * 0.37).sin()).collect()
     }
 
+    fn state_bytes(s: &LocalState, codec: &dyn Codec) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_state_coded_into(s, codec, &mut out);
+        out
+    }
+
+    fn vector_bytes(v: &[f32], codec: &dyn Codec) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_vector_coded_into(v, codec, &mut out);
+        out
+    }
+
+    fn dense_state(s: &LocalState) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_state_into(s, &mut out);
+        out
+    }
+
+    fn dense_vector(v: &[f32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_vector_into(v, &mut out);
+        out
+    }
+
     #[test]
     fn linear_state_roundtrip_and_size() {
         let m = LinearMonitor::new();
         let s = m.local_state(&drift(64));
-        let bytes = encode_state(&s);
+        let bytes = dense_state(&s);
         // 1 tag + 4 norm + 4 proj = 9 bytes on the wire; the monitor's
         // accounting (8) charges only the payload floats, which is the
         // paper's convention — framing overhead is sub-1% at model scale.
@@ -762,7 +754,7 @@ mod tests {
     fn sketch_state_roundtrip() {
         let m = SketchMonitor::new(SketchConfig::new(3, 16, 9), 64);
         let s = m.local_state(&drift(64));
-        let back = decode_state(&encode_state(&s)).unwrap();
+        let back = decode_state(&dense_state(&s)).unwrap();
         assert_eq!(back.drift_sq_norm, s.drift_sq_norm);
         match (&back.summary, &s.summary) {
             (StateSummary::Sketch(a), StateSummary::Sketch(b)) => {
@@ -777,7 +769,7 @@ mod tests {
     fn exact_state_roundtrip() {
         let m = ExactMonitor::new(32);
         let s = m.local_state(&drift(32));
-        let back = decode_state(&encode_state(&s)).unwrap();
+        let back = decode_state(&dense_state(&s)).unwrap();
         match (&back.summary, &s.summary) {
             (StateSummary::Exact(a), StateSummary::Exact(b)) => assert_eq!(a, b),
             _ => panic!("variant changed in roundtrip"),
@@ -792,7 +784,7 @@ mod tests {
         let states: Vec<LocalState> = (0..4).map(|i| m.local_state(&drift(32 + i))).collect();
         let wired: Vec<LocalState> = states
             .iter()
-            .map(|s| decode_state(&encode_state(s)).unwrap())
+            .map(|s| decode_state(&dense_state(s)).unwrap())
             .collect();
         let direct = m.estimate(&LocalState::average(&states));
         let via_wire = m.estimate(&LocalState::average(&wired));
@@ -802,7 +794,7 @@ mod tests {
     #[test]
     fn truncated_buffers_fail_cleanly() {
         let m = LinearMonitor::new();
-        let bytes = encode_state(&m.local_state(&drift(8)));
+        let bytes = dense_state(&m.local_state(&drift(8)));
         for cut in 0..bytes.len() {
             assert!(
                 decode_state(&bytes[..cut]).is_err(),
@@ -814,7 +806,7 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         let m = LinearMonitor::new();
-        let mut bytes = encode_state(&m.local_state(&drift(8)));
+        let mut bytes = dense_state(&m.local_state(&drift(8)));
         bytes.push(0xFF);
         assert_eq!(decode_state(&bytes), Err(DecodeError::Truncated));
     }
@@ -849,14 +841,14 @@ mod tests {
     #[test]
     fn vector_roundtrip_including_empty() {
         for v in [vec![], vec![1.5f32], drift(37)] {
-            let bytes = encode_vector(&v);
+            let bytes = dense_vector(&v);
             assert_eq!(bytes.len(), 4 + v.len() * 4);
             let back = decode_vector(&bytes).unwrap();
             assert_eq!(back, v);
-            assert_eq!(encode_vector(&back), bytes, "re-encode must match");
+            assert_eq!(dense_vector(&back), bytes, "re-encode must match");
         }
         // Trailing garbage and truncation rejected.
-        let mut bytes = encode_vector(&drift(5));
+        let mut bytes = dense_vector(&drift(5));
         bytes.push(0);
         assert_eq!(decode_vector(&bytes), Err(DecodeError::Truncated));
         bytes.pop();
@@ -986,15 +978,41 @@ mod tests {
             SketchMonitor::new(SketchConfig::new(3, 16, 9), 64).local_state(&drift(64)),
             ExactMonitor::new(32).local_state(&drift(32)),
         ];
+        let f32_run = |v: &[f32]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
         for s in &states {
-            assert_eq!(encode_state(s), encode_state_coded(s, &Dense32));
-            let back = decode_state_coded(&encode_state(s), s, &Dense32).unwrap();
-            assert_eq!(encode_state(&back), encode_state(s));
+            let mut layout = vec![];
+            let dims: Vec<u8> = match &s.summary {
+                StateSummary::Linear(_) => {
+                    layout.push(0);
+                    vec![]
+                }
+                StateSummary::Sketch(sk) => {
+                    layout.push(1);
+                    [
+                        (sk.rows() as u16).to_le_bytes(),
+                        (sk.cols() as u16).to_le_bytes(),
+                    ]
+                    .concat()
+                }
+                StateSummary::Exact(v) => {
+                    layout.push(2);
+                    (v.len() as u32).to_le_bytes().to_vec()
+                }
+            };
+            layout.extend_from_slice(&s.drift_sq_norm.to_le_bytes());
+            layout.extend_from_slice(&dims);
+            layout.extend_from_slice(&f32_run(s.summary_slice()));
+            assert_eq!(dense_state(s), layout);
+            let back = decode_state_coded(&dense_state(s), s, &Dense32).unwrap();
+            assert_eq!(dense_state(&back), dense_state(s));
         }
         let v = drift(97);
-        assert_eq!(encode_vector(&v), encode_vector_coded(&v, &Dense32));
         assert_eq!(
-            decode_vector_coded(&encode_vector(&v), 97, &Dense32).unwrap(),
+            dense_vector(&v),
+            [&97u32.to_le_bytes()[..], &f32_run(&v)].concat()
+        );
+        assert_eq!(
+            decode_vector_coded(&dense_vector(&v), 97, &Dense32).unwrap(),
             v
         );
     }
@@ -1005,7 +1023,7 @@ mod tests {
         let m = ExactMonitor::new(64);
         let s = m.local_state(&drift(64));
         let codec = TopK::new(5);
-        let bytes = encode_state_coded(&s, &codec);
+        let bytes = state_bytes(&s, &codec);
         // Exact header (1 tag + 4 drift + 4 len) + 5 pairs.
         assert_eq!(bytes.len() as u64, state_frame_overhead(&s) + 4 + 5 * 8);
         let back = decode_state_coded(&bytes, &s, &codec).unwrap();
@@ -1019,7 +1037,7 @@ mod tests {
         }
         // Re-encoding the reconstruction is byte-identical (the simulator
         // charges exactly what the socket carried).
-        assert_eq!(encode_state_coded(&back, &codec), bytes);
+        assert_eq!(state_bytes(&back, &codec), bytes);
         // A mismatched template is rejected before decoding values.
         let other = ExactMonitor::new(63).local_state(&drift(63));
         assert!(decode_state_coded(&bytes, &other, &codec).is_err());
@@ -1029,10 +1047,10 @@ mod tests {
         let sm = SketchMonitor::new(SketchConfig::new(5, 50, 7), 64);
         let ss = sm.local_state(&drift(64));
         let q = Uniform8Bit::new(64);
-        let qb = encode_state_coded(&ss, &q);
+        let qb = state_bytes(&ss, &q);
         let qback = decode_state_coded(&qb, &ss, &q).unwrap();
         assert!(ss.same_shape(&qback));
-        assert_eq!(encode_state_coded(&qback, &q), qb);
+        assert_eq!(state_bytes(&qback, &q), qb);
     }
 
     #[test]
@@ -1040,9 +1058,9 @@ mod tests {
         use fda_comm::compress::Uniform8Bit;
         let codec = Uniform8Bit::new(32);
         let v = drift(100);
-        let bytes = encode_vector_coded(&v, &codec);
+        let bytes = vector_bytes(&v, &codec);
         let back = decode_vector_coded(&bytes, 100, &codec).unwrap();
-        assert_eq!(encode_vector_coded(&back, &codec), bytes);
+        assert_eq!(vector_bytes(&back, &codec), bytes);
         // Wrong expectation: rejected before any allocation.
         assert!(matches!(
             decode_vector_coded(&bytes, 99, &codec),

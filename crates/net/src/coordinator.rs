@@ -35,19 +35,22 @@
 //! full argument lives in DESIGN.md § "Failure model".
 
 use crate::frame::{write_frame, CountingStream, FrameKind, NetError, PROTOCOL_VERSION};
-use crate::protocol::{downlink_kind, recv_frame_at_epoch_into, Msg};
+use crate::protocol::{downlink_kind, encode_avg_state_into, recv_frame_at_epoch_into, Msg};
 use fda_comm::{AccountingMode, SimNetwork};
 use fda_core::monitor::LocalState;
 use fda_core::round::RoundEngine;
-use fda_core::wire::{
-    decode_state_coded, decode_vector_coded, encode_state_into, state_frame_overhead, JobSpec,
-};
+use fda_core::wire::{decode_state_coded, decode_vector_coded, state_frame_overhead, JobSpec};
 use fda_obs::{DropRecord, JsonlWriter, MembershipRecord, RunEvent};
 use fda_tensor::vector;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// How long a new connection gets to send its hello. Workers send it
+/// right after connecting, so a peer silent this long is a stray: it costs
+/// the handshake this long, not the full io timeout.
+pub const HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Why the coordinator dropped a worker from the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -384,11 +387,11 @@ impl Coordinator {
     }
 
     /// Completes one accepted connection's hello handshake, returning the
-    /// claimed worker id.
+    /// claimed worker id. The hello read runs under [`HELLO_TIMEOUT`].
     fn handshake(&self, stream: TcpStream, k: usize) -> Result<(usize, Conn), NetError> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.read_timeout))?;
+        stream.set_read_timeout(Some(HELLO_TIMEOUT.min(self.read_timeout)))?;
         stream.set_write_timeout(Some(self.read_timeout))?;
         let mut conn = Conn {
             stream: CountingStream::new(stream),
@@ -405,7 +408,7 @@ impl Coordinator {
             (other, _) => {
                 return Err(NetError::Protocol(format!(
                     "expected hello, got {}",
-                    other.kind_name()
+                    other.kind().label()
                 )));
             }
         };
@@ -419,14 +422,16 @@ impl Coordinator {
                 "worker id {id} out of range for K = {k}"
             )));
         }
+        conn.set_read_timeout(self.read_timeout)?;
         Ok((id, conn))
     }
 
     /// Accepts every pending connection without blocking and returns the
     /// ones that completed their hello. A connection that fails its
     /// handshake — a bad frame, the wrong message kind or version, an id
-    /// out of range — is closed: a stray peer costs only its own
-    /// connection. Only an error from the listener itself fails.
+    /// out of range, silence past [`HELLO_TIMEOUT`] — is closed: a stray
+    /// peer costs only its own connection. Only an error from the listener
+    /// itself fails.
     fn accept_hellos(&self, k: usize) -> Result<Vec<(usize, Conn)>, NetError> {
         let mut hellos = Vec::new();
         loop {
@@ -637,8 +642,7 @@ impl Coordinator {
 
             // (3) Broadcast the averaged state + decision.
             bcast.clear();
-            bcast.push(sync as u8);
-            encode_state_into(engine.avg_state(), &mut bcast);
+            encode_avg_state_into(engine.avg_state(), sync, &mut bcast);
             m.send_each(FrameKind::AvgState, &bcast, step)?;
 
             // (4) Conditional model AllReduce over the uploads that

@@ -22,7 +22,8 @@
 //! * **membership versioning** — `epoch` is the coordinator's membership
 //!   epoch (bumped on every worker drop or rejoin), so a stale deposit
 //!   from a zombie connection is rejected instead of averaged (see
-//!   `protocol::recv_at_epoch` and the coordinator's failure model).
+//!   `protocol::recv_frame_at_epoch_into` and the coordinator's failure
+//!   model).
 
 use fda_core::wire::DecodeError;
 use std::io::{Read, Write};
@@ -75,13 +76,13 @@ pub enum FrameKind {
     Hello = 1,
     /// Coordinator → worker: the job config (`wire::encode_job`).
     Config = 2,
-    /// Worker → coordinator: one round's local state
-    /// (`wire::encode_state`).
+    /// Worker → coordinator: one round's local state, codec-coded
+    /// (`wire::encode_state_coded_into`).
     State = 3,
     /// Coordinator → worker: averaged state + sync decision.
     AvgState = 4,
-    /// Worker → coordinator: full model parameters for a synchronization
-    /// (`wire::encode_vector`).
+    /// Worker → coordinator: full model parameters for a synchronization,
+    /// codec-coded (`wire::encode_vector_coded_into`).
     Model = 5,
     /// Coordinator → worker: the AllReduced consensus model.
     AvgModel = 6,
@@ -135,7 +136,7 @@ impl FrameKind {
         }
     }
 
-    /// Per-kind receive byte counter name — fed by [`read_frame`].
+    /// Per-kind receive byte counter name — fed by [`read_frame_into`].
     fn rx_counter(&self) -> &'static str {
         match self {
             FrameKind::Hello => "net_rx_bytes_hello",
@@ -473,34 +474,26 @@ pub fn read_frame_into<R: Read>(
     Ok((kind, epoch))
 }
 
-/// Reads one frame, returning an owned payload. Allocating convenience
-/// wrapper over [`read_frame_into`] for handshake paths and tests; the
-/// round loop holds a per-connection buffer and calls the `_into` form.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameKind, u32, Vec<u8>), NetError> {
-    let mut buf = Vec::new();
-    let (kind, epoch) = read_frame_into(r, &mut buf)?;
-    buf.copy_within(1.., 0);
-    buf.truncate(buf.len() - 1);
-    Ok((kind, epoch, buf))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reads the first frame of `bytes` into a fresh buffer.
+    fn read_one(bytes: Vec<u8>) -> Result<(FrameKind, u32), NetError> {
+        read_frame_into(&mut std::io::Cursor::new(bytes), &mut Vec::new())
+    }
+
     #[test]
     fn frame_roundtrip_through_a_pipe() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_frame(&mut buf, 3, FrameKind::State, &[1, 2, 3]).unwrap();
-        write_frame(&mut buf, 7, FrameKind::Shutdown, &[]).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let (k1, e1, p1) = read_frame(&mut cursor).unwrap();
-        assert_eq!(
-            (k1, e1, p1.as_slice()),
-            (FrameKind::State, 3, &[1u8, 2, 3][..])
-        );
-        let (k2, e2, p2) = read_frame(&mut cursor).unwrap();
-        assert_eq!((k2, e2, p2.len()), (FrameKind::Shutdown, 7, 0));
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 3, FrameKind::State, &[1, 2, 3]).unwrap();
+        write_frame(&mut wire, 7, FrameKind::Shutdown, &[]).unwrap();
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        let (k1, e1) = read_frame_into(&mut cursor, &mut buf).unwrap();
+        assert_eq!((k1, e1, &buf[1..]), (FrameKind::State, 3, &[1u8, 2, 3][..]));
+        let (k2, e2) = read_frame_into(&mut cursor, &mut buf).unwrap();
+        assert_eq!((k2, e2, buf.len() - 1), (FrameKind::Shutdown, 7, 0));
     }
 
     #[test]
@@ -508,16 +501,10 @@ mod tests {
         let mut buf = (MAX_FRAME_BYTES + 1).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 8]);
         buf.push(1);
-        assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(buf)),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(read_one(buf), Err(NetError::Protocol(_))));
         let mut zero = 0u32.to_le_bytes().to_vec();
         zero.extend_from_slice(&[0u8; 8]);
-        assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(zero)),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(read_one(zero), Err(NetError::Protocol(_))));
     }
 
     #[test]
@@ -530,10 +517,7 @@ mod tests {
         buf.extend_from_slice(&epoch);
         buf.extend_from_slice(&crc.to_le_bytes());
         buf.push(250);
-        assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(buf)),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(read_one(buf), Err(NetError::Protocol(_))));
     }
 
     #[test]
@@ -541,10 +525,7 @@ mod tests {
         let mut buf: Vec<u8> = Vec::new();
         write_frame(&mut buf, 1, FrameKind::Model, &[0u8; 64]).unwrap();
         buf.truncate(20);
-        assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(buf)),
-            Err(NetError::Disconnect(_))
-        ));
+        assert!(matches!(read_one(buf), Err(NetError::Disconnect(_))));
     }
 
     /// The bit-flip regression: every single-bit corruption of the frame
@@ -557,7 +538,7 @@ mod tests {
             for bit in 0..8 {
                 let mut corrupt = frame.clone();
                 corrupt[byte] ^= 1 << bit;
-                let res = read_frame(&mut std::io::Cursor::new(corrupt));
+                let res = read_one(corrupt);
                 assert!(
                     matches!(res, Err(NetError::Protocol(_))),
                     "flip of byte {byte} bit {bit} was not detected"
@@ -577,7 +558,7 @@ mod tests {
                 let mut corrupt = frame.clone();
                 corrupt[byte] ^= 1 << bit;
                 assert!(
-                    read_frame(&mut std::io::Cursor::new(corrupt)).is_err(),
+                    read_one(corrupt).is_err(),
                     "len flip byte {byte} bit {bit} decoded"
                 );
             }

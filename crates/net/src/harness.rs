@@ -1,135 +1,149 @@
-//! Run harnesses: whole FDA jobs over loopback TCP.
+//! Run harness: whole FDA jobs over loopback TCP.
 //!
-//! Drivers around the same [`Coordinator`]:
+//! [`run`] binds a [`Coordinator`] on a free loopback port, starts the
+//! job's `K` workers, drives the job on the calling thread and collects
+//! how every worker ended. [`RunOptions::node_bin`] picks where the
+//! workers live:
 //!
-//! * [`run_with_thread_workers`] — workers are threads of the calling
-//!   process, each speaking real TCP to the coordinator over loopback.
-//!   Used by unit tests and the bench (no process-spawn cost in the
-//!   measurement, sockets still real).
-//! * [`run_with_spawned_workers`] — workers are **OS processes** spawned
-//!   from an `fda_node` binary; the multi-process deployment the paper's
-//!   byte accounting is ultimately about. Child processes are killed if
-//!   the coordinator fails, so a wedged worker cannot leak past the run.
-//! * [`run_chaos_with_thread_workers`] / [`run_chaos_with_spawned_workers`]
-//!   — the same two drivers under a scripted [`FaultPlan`]: scripted
-//!   deaths are *expected* (the thread variant returns every worker's
-//!   individual result; the spawned variant accepts any exit status from
-//!   a worker the plan targets), and the coordinator result is returned
-//!   even when it is a typed failure like [`NetError::Quorum`].
+//! * `None` — **threads** of the calling process, each speaking real TCP.
+//!   Unit tests and the benches use these (no process-spawn cost in the
+//!   measurement, sockets still real), and each thread's own ending comes
+//!   back in [`LoopbackRun::workers`].
+//! * `Some(bin)` — **OS processes** spawned from an `fda_node` binary: the
+//!   multi-process deployment the paper's byte accounting is about.
+//!   Children are killed if the run fails, so a wedged worker cannot leak
+//!   past it.
+//!
+//! A [`FaultPlan`] scripts faults into either kind, and one rule judges
+//! worker endings for both: a worker failure fails the run unless the
+//! plan targets that worker or the coordinator failed — then the
+//! coordinator's error (a typed [`NetError::Quorum`], say) is the result.
 
 use crate::coordinator::{Coordinator, NetReport, RoundPolicy};
 use crate::fault::{FaultPlan, RejoinPolicy};
 use crate::frame::NetError;
 use crate::worker::{run_worker, WorkerOptions, WorkerOutcome};
 use fda_core::wire::JobSpec;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Default worker-connect window.
+/// The coordinator's window for all `K` workers to connect.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// A thread worker's connect window. Threads dial a listener that is
+/// already bound, so only a redial after a lost session ever waits, and it
+/// gives up soon once the run is over.
+const THREAD_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long spawned workers get to exit after shutdown before being
 /// killed.
 const REAP_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Runs `spec` with in-process worker threads over loopback TCP.
-///
-/// # Panics
-/// Panics if a worker thread panics.
-pub fn run_with_thread_workers(spec: &JobSpec) -> Result<NetReport, NetError> {
-    run_with_thread_workers_telemetry(spec, None)
+/// How to run a job over loopback. `RunOptions::default()` is a clean
+/// thread-worker run under the default timeouts and policy.
+#[derive(Debug, Clone)]
+pub struct RunOptions<'a> {
+    /// `None`: workers are threads. `Some(bin)`: workers are processes of
+    /// a binary accepting `worker --connect <addr> --id <k>` (the
+    /// workspace's `fda_node`); their stderr is inherited so failures
+    /// surface in test output.
+    pub node_bin: Option<&'a Path>,
+    /// Scripted faults. A worker the plan targets may fail without
+    /// failing the run.
+    pub plan: FaultPlan,
+    /// The coordinator's per-round liveness policy.
+    pub policy: RoundPolicy,
+    /// Whether a worker that loses its session redials. Processes take
+    /// its attempt count (`fda_node worker --rejoin`) with the default
+    /// backoff.
+    pub rejoin: Option<RejoinPolicy>,
+    /// The coordinator's and thread workers' per-read/per-write socket
+    /// timeout, so an injected hang becomes a timeout, not a wedged run.
+    pub io_timeout: Duration,
+    /// Where the coordinator streams its round-event JSONL ([`fda_obs`]
+    /// schema), if anywhere.
+    pub telemetry: Option<&'a Path>,
 }
 
-/// [`run_with_thread_workers`] with an optional round-event JSONL sink
-/// (the [`fda_obs`] schema, streamed by the coordinator).
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            node_bin: None,
+            plan: FaultPlan::new(),
+            policy: RoundPolicy::default(),
+            rejoin: None,
+            io_timeout: WorkerOptions::default().io_timeout,
+            telemetry: None,
+        }
+    }
+}
+
+/// How a loopback run ended.
+#[derive(Debug)]
+pub struct LoopbackRun {
+    /// The coordinator's result, unless a worker the plan does not target
+    /// failed while the coordinator succeeded.
+    pub report: Result<NetReport, NetError>,
+    /// Each thread worker's own ending, indexed by id. Empty for
+    /// processes, whose endings are exit statuses.
+    pub workers: Vec<Result<WorkerOutcome, NetError>>,
+}
+
+/// Runs `spec` over loopback TCP as `opts` describes.
 ///
 /// # Panics
 /// Panics if a worker thread panics.
-pub fn run_with_thread_workers_telemetry(
-    spec: &JobSpec,
-    telemetry: Option<&Path>,
-) -> Result<NetReport, NetError> {
+pub fn run(spec: &JobSpec, opts: &RunOptions) -> LoopbackRun {
+    let (coordinator, addr) = match bind(opts) {
+        Ok(bound) => bound,
+        Err(e) => {
+            return LoopbackRun {
+                report: Err(e),
+                workers: Vec::new(),
+            }
+        }
+    };
+    match opts.node_bin {
+        None => run_threads(spec, opts, coordinator, addr),
+        Some(node_bin) => LoopbackRun {
+            report: run_processes(spec, opts, node_bin, coordinator, addr),
+            workers: Vec::new(),
+        },
+    }
+}
+
+/// Binds the coordinator on a free loopback port, configured by `opts`.
+fn bind(opts: &RunOptions) -> Result<(Coordinator, SocketAddr), NetError> {
     let mut coordinator = Coordinator::bind("127.0.0.1:0")?;
-    if let Some(path) = telemetry {
+    coordinator.set_timeouts(CONNECT_TIMEOUT, opts.io_timeout);
+    coordinator.set_policy(opts.policy.clone());
+    if let Some(path) = opts.telemetry {
         coordinator.set_telemetry(path);
     }
     let addr = coordinator.local_addr()?;
-    let k = spec.cluster.workers;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|id| {
-                scope.spawn(move || -> Result<(), NetError> {
-                    let opts = WorkerOptions {
-                        connect_timeout: CONNECT_TIMEOUT,
-                        ..WorkerOptions::default()
-                    };
-                    run_worker(addr, id as u32, &opts).map(|_| ())
-                })
-            })
-            .collect();
-        let report = coordinator.run(spec);
-        for (id, h) in handles.into_iter().enumerate() {
-            let worker_result = h.join().expect("worker thread panicked");
-            // A coordinator error usually kills the workers too; report
-            // the coordinator's (root-cause) error first.
-            if report.is_ok() {
-                worker_result
-                    .map_err(|e| NetError::Protocol(format!("worker {id} failed: {e}")))?;
-            }
-        }
-        report
-    })
+    Ok((coordinator, addr))
 }
 
-/// Runs `spec` with thread workers under a scripted fault plan.
-///
-/// Returns the coordinator's result **and** every worker's individual
-/// result, because under chaos both sides' endings are assertions: a
-/// worker may legitimately finish [`WorkerOutcome::Faulted`] or with a
-/// disconnect error while the coordinator completes with K′ survivors —
-/// or the coordinator may abort with [`NetError::Quorum`] while workers
-/// ran fine. `io_timeout` bounds every socket wait so an injected hang
-/// converts to a timeout instead of wedging the scope join.
-///
-/// # Panics
-/// Panics if a worker thread panics.
-pub fn run_chaos_with_thread_workers(
+fn run_threads(
     spec: &JobSpec,
-    plan: &FaultPlan,
-    policy: RoundPolicy,
-    rejoin: Option<RejoinPolicy>,
-    io_timeout: Duration,
-) -> (
-    Result<NetReport, NetError>,
-    Vec<Result<WorkerOutcome, NetError>>,
-) {
-    let mut coordinator = match Coordinator::bind("127.0.0.1:0") {
-        Ok(c) => c,
-        Err(e) => return (Err(e), Vec::new()),
-    };
-    let addr = match coordinator.local_addr() {
-        Ok(a) => a,
-        Err(e) => return (Err(e), Vec::new()),
-    };
-    coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
-    coordinator.set_policy(policy);
-    let k = spec.cluster.workers;
+    opts: &RunOptions,
+    coordinator: Coordinator,
+    addr: SocketAddr,
+) -> LoopbackRun {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
+        let handles: Vec<_> = (0..spec.cluster.workers as u32)
             .map(|id| {
-                let faults = plan.faults_for(id as u32);
-                scope.spawn(move || {
-                    let opts = WorkerOptions {
-                        connect_timeout: Duration::from_secs(5),
-                        io_timeout,
-                        rejoin,
-                        faults,
-                        exit_process_on_fault: false,
-                        backoff_seed: 0x0DD_BA11 ^ id as u64,
-                    };
-                    run_worker(addr, id as u32, &opts)
-                })
+                let wopts = WorkerOptions {
+                    connect_timeout: THREAD_CONNECT_TIMEOUT,
+                    io_timeout: opts.io_timeout,
+                    rejoin: opts.rejoin,
+                    faults: opts.plan.faults_for(id),
+                    exit_process_on_fault: false,
+                    backoff_seed: 0x0DD_BA11 ^ u64::from(id),
+                };
+                scope.spawn(move || run_worker(addr, id, &wopts))
             })
             .collect();
         let report = coordinator.run(spec);
@@ -137,12 +151,57 @@ pub fn run_chaos_with_thread_workers(
         // rejoin gets connection-refused promptly instead of parking on a
         // dead rendezvous until its io timeout.
         drop(coordinator);
-        let worker_results = handles
+        let workers: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
             .collect();
-        (report, worker_results)
+        let failure = workers.iter().enumerate().find_map(|(id, w)| match w {
+            Err(e) if !opts.plan.has_fault(id as u32) => {
+                Some(NetError::Protocol(format!("worker {id} failed: {e}")))
+            }
+            _ => None,
+        });
+        let report = report.and_then(|r| failure.map_or(Ok(r), Err));
+        LoopbackRun { report, workers }
     })
+}
+
+fn run_processes(
+    spec: &JobSpec,
+    opts: &RunOptions,
+    node_bin: &Path,
+    coordinator: Coordinator,
+    addr: SocketAddr,
+) -> Result<NetReport, NetError> {
+    let mut guard = ReapGuard {
+        children: Vec::new(),
+    };
+    for id in 0..spec.cluster.workers as u32 {
+        let rejoin = opts.rejoin.map(|p| p.max_attempts.to_string());
+        let child = Command::new(node_bin)
+            .args([
+                "worker",
+                "--connect",
+                &addr.to_string(),
+                "--id",
+                &id.to_string(),
+            ])
+            .args(opts.plan.worker_args(id))
+            .args(rejoin.iter().flat_map(|n| ["--rejoin", n]))
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .spawn()?;
+        guard.children.push(child);
+    }
+    let report = coordinator.run(spec);
+    // Unbind before reaping, so a redialing worker is refused at once.
+    drop(coordinator);
+    // A coordinator failure forgives every ending; dropping the guard
+    // kills the workers.
+    let report = report?;
+    guard.reap(&opts.plan)?;
+    Ok(report)
 }
 
 /// Kills still-running children on drop, so a failed run cannot leak
@@ -154,11 +213,11 @@ struct ReapGuard {
 impl ReapGuard {
     /// Waits for every child to exit, killing laggards after
     /// [`REAP_TIMEOUT`]. Returns an error naming the first child that
-    /// exited unsuccessfully, unless `fault_expected` marks it as a
-    /// scripted casualty (any exit status accepted — a scripted death may
-    /// surface as [`crate::fault::FAULT_EXIT_CODE`] or as a nonzero error
-    /// exit, depending on where the fault cut the protocol).
-    fn reap(mut self, fault_expected: &[bool]) -> Result<(), NetError> {
+    /// exited unsuccessfully, unless `plan` targets it (any exit status
+    /// accepted — a scripted death may surface as
+    /// [`crate::fault::FAULT_EXIT_CODE`] or as a nonzero error exit,
+    /// depending on where the fault cut the protocol).
+    fn reap(mut self, plan: &FaultPlan) -> Result<(), NetError> {
         let deadline = Instant::now() + REAP_TIMEOUT;
         for (id, child) in self.children.iter_mut().enumerate() {
             let status = loop {
@@ -174,7 +233,7 @@ impl ReapGuard {
                     Err(e) => return Err(NetError::Io(e)),
                 }
             };
-            if !status.success() && !fault_expected.get(id).copied().unwrap_or(false) {
+            if !status.success() && !plan.has_fault(id as u32) {
                 // Return without clearing: `Drop` still kills the
                 // remaining (possibly wedged) siblings.
                 return Err(NetError::Protocol(format!(
@@ -196,87 +255,33 @@ impl Drop for ReapGuard {
     }
 }
 
-fn spawn_workers(
-    spec: &JobSpec,
-    node_bin: &Path,
-    addr: &str,
-    plan: &FaultPlan,
-) -> Result<ReapGuard, NetError> {
-    let mut guard = ReapGuard {
-        children: Vec::new(),
-    };
-    for id in 0..spec.cluster.workers {
-        let child = Command::new(node_bin)
-            .arg("worker")
-            .arg("--connect")
-            .arg(addr)
-            .arg("--id")
-            .arg(id.to_string())
-            .args(plan.worker_args(id as u32))
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        guard.children.push(child);
-    }
-    Ok(guard)
-}
-
-/// Runs `spec` with `K` spawned `fda_node` worker processes.
+/// A clean thread-worker run's report. Kept as a name of its own because
+/// the benchmark (`fdabench`) calls it and pins its signature.
 ///
-/// `node_bin` must be a binary accepting
-/// `worker --connect <addr> --id <k>` (the workspace's `fda_node`).
-/// Worker stderr is inherited so failures surface in test output.
-pub fn run_with_spawned_workers(spec: &JobSpec, node_bin: &Path) -> Result<NetReport, NetError> {
-    let coordinator = Coordinator::bind("127.0.0.1:0")?;
-    let addr = coordinator.local_addr()?;
-    let guard = spawn_workers(spec, node_bin, &addr.to_string(), &FaultPlan::new())?;
-    let report = coordinator.run(spec)?;
-    guard.reap(&vec![false; spec.cluster.workers])?;
-    Ok(report)
+/// # Panics
+/// Panics if a worker thread panics.
+pub fn run_with_thread_workers(spec: &JobSpec) -> Result<NetReport, NetError> {
+    run(spec, &RunOptions::default()).report
 }
 
-/// [`run_chaos_with_spawned_workers`] with an optional round-event JSONL
-/// sink (the [`fda_obs`] schema, streamed by the coordinator).
-pub fn run_chaos_with_spawned_workers_telemetry(
+/// [`run_with_thread_workers`] with an optional round-event JSONL sink.
+/// Kept as a name of its own because the benchmark (`fdabench`) calls it
+/// and pins its signature.
+///
+/// # Panics
+/// Panics if a worker thread panics.
+pub fn run_with_thread_workers_telemetry(
     spec: &JobSpec,
-    node_bin: &Path,
-    plan: &FaultPlan,
-    policy: RoundPolicy,
-    io_timeout: Duration,
     telemetry: Option<&Path>,
 ) -> Result<NetReport, NetError> {
-    let mut coordinator = Coordinator::bind("127.0.0.1:0")?;
-    if let Some(path) = telemetry {
-        coordinator.set_telemetry(path);
-    }
-    let addr = coordinator.local_addr()?;
-    coordinator.set_timeouts(CONNECT_TIMEOUT, io_timeout);
-    coordinator.set_policy(policy);
-    let guard = spawn_workers(spec, node_bin, &addr.to_string(), plan)?;
-    let report = coordinator.run(spec);
-    drop(coordinator);
-    let fault_expected: Vec<bool> = (0..spec.cluster.workers)
-        .map(|id| plan.has_fault(id as u32) || report.is_err())
-        .collect();
-    guard.reap(&fault_expected)?;
-    report
-}
-
-/// Runs `spec` with spawned worker processes under a scripted fault plan:
-/// the multi-process chaos driver. Workers the plan targets are passed
-/// their `--fault` scripts on the command line and may exit with any
-/// status; untargeted workers must still exit cleanly. The coordinator's
-/// result is returned as-is — a typed [`NetError::Quorum`] is a valid,
-/// asserted-on ending.
-pub fn run_chaos_with_spawned_workers(
-    spec: &JobSpec,
-    node_bin: &Path,
-    plan: &FaultPlan,
-    policy: RoundPolicy,
-    io_timeout: Duration,
-) -> Result<NetReport, NetError> {
-    run_chaos_with_spawned_workers_telemetry(spec, node_bin, plan, policy, io_timeout, None)
+    run(
+        spec,
+        &RunOptions {
+            telemetry,
+            ..RunOptions::default()
+        },
+    )
+    .report
 }
 
 #[cfg(test)]

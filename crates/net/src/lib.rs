@@ -40,16 +40,16 @@
 //!
 //! * [`frame`] — length-prefixed, checksummed, epoch-stamped frame
 //!   protocol and byte counters.
-//! * [`protocol`] — typed messages (hello/config/resume/state/decision/
-//!   model/shutdown) with `fda_core::wire` payloads and the stale-epoch
-//!   receive filter.
+//! * [`protocol`] — typed control-plane messages and dense broadcasts
+//!   over `fda_core::wire` payloads, the `AvgState` codec, and the
+//!   stale-epoch receive filter the coded uplinks come off.
 //! * [`coordinator`] — the deposit → id-order reduce → broadcast
 //!   rendezvous, with per-round drop/quorum/rejoin handling.
 //! * [`worker`] — the per-process worker loop over the simulator's own
 //!   `Worker::step_once`, with backoff reconnect and scripted faults.
 //! * [`fault`] — deterministic fault plans, backoff, rejoin policy.
-//! * [`harness`] — thread-worker and spawned-process run drivers, clean
-//!   and chaos variants.
+//! * [`harness`] — [`run`], the one loopback-run entry point: workers as
+//!   threads or processes, faults and telemetry optional ([`RunOptions`]).
 
 pub mod coordinator;
 pub mod fault;
@@ -64,9 +64,7 @@ pub use coordinator::{
 pub use fault::{Backoff, FaultAction, FaultPlan, RejoinPolicy, FAULT_EXIT_CODE};
 pub use frame::{FrameKind, NetError, PROTOCOL_VERSION};
 pub use harness::{
-    run_chaos_with_spawned_workers, run_chaos_with_spawned_workers_telemetry,
-    run_chaos_with_thread_workers, run_with_spawned_workers, run_with_thread_workers,
-    run_with_thread_workers_telemetry,
+    run, run_with_thread_workers, run_with_thread_workers_telemetry, LoopbackRun, RunOptions,
 };
-pub use protocol::{recv_at_epoch, Msg, MAX_STALE_FRAMES};
+pub use protocol::{recv_frame_at_epoch_into, Msg, MAX_STALE_FRAMES};
 pub use worker::{run_worker, WorkerOptions, WorkerOutcome, WorkerSummary};

@@ -1,34 +1,35 @@
 //! Typed messages over the frame layer.
 //!
-//! A [`Msg`] is one frame; payloads are the `fda_core::wire` encodings, so
-//! the bytes a worker puts on the socket for a local state are *exactly*
-//! the bytes the simulator's accounting charges (plus the framing header,
-//! which [`Msg::accounted_bytes`] deliberately excludes — the paper's
-//! convention charges payload floats, and sub-1% framing overhead is
-//! reported separately by the measured raw counters).
+//! A [`Msg`] is one control-plane frame — hello, config, resume, final
+//! model, shutdown — or one of the two dense broadcasts (`AvgState`,
+//! `AvgModel`); payloads are `fda_core::wire` encodings. The data-plane
+//! uplinks (`State`, `Model`) are not `Msg`s: their bytes depend on the
+//! job's codec and their decode on the receiver's shapes, so senders
+//! encode them with the `wire` `_into` encoders and receivers take them
+//! off [`recv_frame_at_epoch_into`] and decode against a template. Those
+//! payload bytes are exactly what the round engine charges.
 //!
 //! Every frame carries the coordinator's **membership epoch** in its
 //! header. Senders stamp frames with the last epoch they were told;
-//! receivers validate with [`recv_at_epoch`], which *discards* frames from
-//! an older epoch (a zombie connection's in-flight deposit racing a drop/
-//! rejoin) instead of averaging them, and rejects frames claiming a future
-//! epoch as protocol violations.
+//! receivers validate with [`recv_frame_at_epoch_into`], which *discards*
+//! frames from an older epoch (a zombie connection's in-flight deposit
+//! racing a drop/rejoin) instead of averaging them, and rejects frames
+//! claiming a future epoch as protocol violations.
 
-use crate::frame::{
-    read_frame, read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION,
-};
+use crate::frame::{read_frame_into, write_frame, FrameKind, NetError, PROTOCOL_VERSION};
+use fda_comm::compress::Dense32;
 use fda_comm::DownlinkSpec;
 use fda_core::monitor::LocalState;
 use fda_core::wire::{
-    decode_job, decode_state, decode_vector, decode_vector_at, encode_job, encode_state,
-    encode_vector, JobSpec,
+    decode_job, decode_state, decode_state_coded, decode_vector, decode_vector_at, encode_job,
+    encode_state_into, encode_vector_into, JobSpec,
 };
 use std::io::{Read, Write};
 
-/// How many consecutive stale-epoch frames [`recv_at_epoch`] will discard
-/// on one connection before declaring the peer a protocol violator. A
-/// legitimate zombie has at most a handful of in-flight frames; an
-/// endless stale stream is a broken or hostile peer.
+/// How many consecutive stale-epoch frames [`recv_frame_at_epoch_into`]
+/// will discard on one connection before declaring the peer a protocol
+/// violator. A legitimate zombie has at most a handful of in-flight
+/// frames; an endless stale stream is a broken or hostile peer.
 pub const MAX_STALE_FRAMES: u32 = 8;
 
 /// One protocol message (see [`FrameKind`] for the direction of each).
@@ -49,8 +50,6 @@ pub enum Msg {
     /// other variant, and `Msg` values travel through `Result`s and
     /// matches where the large-variant footprint would tax all of them).
     Config(Box<JobSpec>),
-    /// Worker → coordinator: this round's local state.
-    State(LocalState),
     /// Coordinator → worker: the averaged state and the round's decision.
     AvgState {
         /// `S̄_t`, averaged in worker-id order over the round's survivors.
@@ -58,8 +57,6 @@ pub enum Msg {
         /// `H(S̄_t) > Θ` — whether a model AllReduce follows.
         sync: bool,
     },
-    /// Worker → coordinator: full parameters for the model AllReduce.
-    Model(Vec<f32>),
     /// Coordinator → worker: the consensus model.
     AvgModel(Vec<f32>),
     /// Worker → coordinator: final replica (uncharged evaluation traffic).
@@ -91,60 +88,37 @@ impl Msg {
         }
     }
 
-    /// The bytes the paper's accounting convention charges for this
-    /// message: the `f32` payload of data-plane messages (`‖u‖²` +
-    /// summary for a state, the parameter vector for a model upload), and
-    /// zero for control-plane messages (handshake, config, resume,
-    /// broadcasts — the convention counts bytes *transmitted by workers*)
-    /// and for the uncharged final-model evaluation collection.
-    pub fn accounted_bytes(&self) -> u64 {
-        match self {
-            Msg::State(s) => 4 + s.summary_slice().len() as u64 * 4,
-            Msg::Model(v) => v.len() as u64 * 4,
-            _ => 0,
-        }
-    }
-
     /// Serializes this message's frame kind and payload.
     pub fn encode(&self) -> (FrameKind, Vec<u8>) {
+        let mut p = Vec::new();
         match self {
             Msg::Hello {
                 version,
                 worker_id,
                 last_epoch,
             } => {
-                let mut p = Vec::with_capacity(10);
                 p.extend_from_slice(&version.to_le_bytes());
                 p.extend_from_slice(&worker_id.to_le_bytes());
                 p.extend_from_slice(&last_epoch.to_le_bytes());
-                (FrameKind::Hello, p)
             }
-            Msg::Config(job) => (FrameKind::Config, encode_job(job)),
-            Msg::State(s) => (FrameKind::State, encode_state(s)),
-            Msg::AvgState { state, sync } => {
-                let mut p = vec![*sync as u8];
-                p.extend_from_slice(&encode_state(state));
-                (FrameKind::AvgState, p)
-            }
-            Msg::Model(v) => (FrameKind::Model, encode_vector(v)),
-            Msg::AvgModel(v) => (FrameKind::AvgModel, encode_vector(v)),
-            Msg::FinalModel(v) => (FrameKind::FinalModel, encode_vector(v)),
+            Msg::Config(job) => p = encode_job(job),
+            Msg::AvgState { state, sync } => encode_avg_state_into(state, *sync, &mut p),
+            Msg::AvgModel(v) | Msg::FinalModel(v) => encode_vector_into(v, &mut p),
             Msg::Resume {
                 round,
                 model,
                 prev_model,
             } => {
-                let mut p = Vec::with_capacity(9 + model.len() * 4);
                 p.extend_from_slice(&round.to_le_bytes());
                 p.push(prev_model.is_some() as u8);
-                p.extend_from_slice(&encode_vector(model));
+                encode_vector_into(model, &mut p);
                 if let Some(prev) = prev_model {
-                    p.extend_from_slice(&encode_vector(prev));
+                    encode_vector_into(prev, &mut p);
                 }
-                (FrameKind::Resume, p)
             }
-            Msg::Shutdown => (FrameKind::Shutdown, Vec::new()),
+            Msg::Shutdown => {}
         }
+        (self.kind(), p)
     }
 
     /// Writes this message as one frame stamped with `epoch`.
@@ -170,24 +144,10 @@ impl Msg {
                 }
             }
             FrameKind::Config => Msg::Config(Box::new(decode_job(payload)?)),
-            FrameKind::State => Msg::State(decode_state(payload)?),
             FrameKind::AvgState => {
-                let (&sync_byte, state_bytes) = payload
-                    .split_first()
-                    .ok_or_else(|| NetError::Protocol("empty avg-state payload".to_string()))?;
-                let sync = match sync_byte {
-                    0 => false,
-                    1 => true,
-                    b => {
-                        return Err(NetError::Protocol(format!("bad sync byte {b}")));
-                    }
-                };
-                Msg::AvgState {
-                    state: decode_state(state_bytes)?,
-                    sync,
-                }
+                let (state, sync) = decode_avg_state(payload, None)?;
+                Msg::AvgState { state, sync }
             }
-            FrameKind::Model => Msg::Model(decode_vector(payload)?),
             FrameKind::AvgModel => Msg::AvgModel(decode_vector(payload)?),
             FrameKind::FinalModel => Msg::FinalModel(decode_vector(payload)?),
             FrameKind::Resume => {
@@ -228,40 +188,72 @@ impl Msg {
                 }
                 Msg::Shutdown
             }
-            // A delta downlink is only decodable with the job's downlink
-            // codec and model dimension in hand — delta-mode receivers use
-            // the frame-layer path (`recv_frame_at_epoch_into`), never the
-            // typed one, so reaching here means the peer sent a delta to a
-            // dense-mode receiver.
-            FrameKind::AvgModelDelta => {
-                return Err(NetError::Protocol(
-                    "avg-model-delta frame outside a delta-downlink job".to_string(),
-                ));
+            // Coded uplinks and delta downlinks need the job's codecs and
+            // the receiver's shapes: receivers take them off the frame
+            // layer, so one here arrived where a typed message was due.
+            FrameKind::State | FrameKind::Model | FrameKind::AvgModelDelta => {
+                return Err(NetError::Protocol(format!(
+                    "{} frame where a typed message was due",
+                    kind.label()
+                )));
             }
         })
     }
 
-    /// Reads the next message off the stream, returning it with the epoch
-    /// its frame was stamped with.
+    /// Reads the next message off the stream (through
+    /// [`read_frame_into`]), returning it with the epoch its frame was
+    /// stamped with.
     pub fn recv<R: Read>(r: &mut R) -> Result<(Msg, u32), NetError> {
-        let (kind, epoch, payload) = read_frame(r)?;
-        Ok((Msg::decode(kind, &payload)?, epoch))
+        let mut buf = Vec::new();
+        let (kind, epoch) = read_frame_into(r, &mut buf)?;
+        Ok((Msg::decode(kind, &buf[1..])?, epoch))
     }
 
-    /// Short name for protocol-error messages.
-    pub fn kind_name(&self) -> &'static str {
+    /// The frame kind this message travels in.
+    pub fn kind(&self) -> FrameKind {
         match self {
-            Msg::Hello { .. } => "hello",
-            Msg::Config(_) => "config",
-            Msg::State(_) => "state",
-            Msg::AvgState { .. } => "avg-state",
-            Msg::Model(_) => "model",
-            Msg::AvgModel(_) => "avg-model",
-            Msg::FinalModel(_) => "final-model",
-            Msg::Resume { .. } => "resume",
-            Msg::Shutdown => "shutdown",
+            Msg::Hello { .. } => FrameKind::Hello,
+            Msg::Config(_) => FrameKind::Config,
+            Msg::AvgState { .. } => FrameKind::AvgState,
+            Msg::AvgModel(_) => FrameKind::AvgModel,
+            Msg::FinalModel(_) => FrameKind::FinalModel,
+            Msg::Resume { .. } => FrameKind::Resume,
+            Msg::Shutdown => FrameKind::Shutdown,
         }
     }
+}
+
+/// Appends the `AvgState` payload, `[sync u8][dense state]` — the one
+/// encoder of the layout, used by the coordinator's broadcast (straight
+/// from the engine's averaged state, no copy) and by [`Msg::encode`].
+pub fn encode_avg_state_into(state: &LocalState, sync: bool, out: &mut Vec<u8>) {
+    out.push(sync as u8);
+    encode_state_into(state, out);
+}
+
+/// Decodes an `AvgState` payload into `(S̄, sync)` — the one decoder of
+/// the layout. A worker passes its own round state as `template`: the
+/// summary's kind and shape must match it before anything is sized from
+/// the header, so a mismatched broadcast is a [`NetError::Decode`], never
+/// a monitor fed a summary it cannot estimate. Without a template (the
+/// typed [`Msg::decode`] path) the payload's header gives the shape.
+pub fn decode_avg_state(
+    payload: &[u8],
+    template: Option<&LocalState>,
+) -> Result<(LocalState, bool), NetError> {
+    let (&sync_byte, state_bytes) = payload
+        .split_first()
+        .ok_or_else(|| NetError::Protocol("empty avg-state payload".to_string()))?;
+    let sync = match sync_byte {
+        0 => false,
+        1 => true,
+        b => return Err(NetError::Protocol(format!("bad sync byte {b}"))),
+    };
+    let state = match template {
+        Some(t) => decode_state_coded(state_bytes, t, &Dense32)?,
+        None => decode_state(state_bytes)?,
+    };
+    Ok((state, sync))
 }
 
 /// The frame kind a job's consensus downlink travels in: `AvgModel`
@@ -274,28 +266,19 @@ pub fn downlink_kind(spec: DownlinkSpec) -> FrameKind {
     }
 }
 
-/// Receives the next message stamped with exactly `epoch`.
+/// Receives the next frame stamped with exactly `epoch` into a
+/// caller-owned buffer: on success `buf` holds the frame's body (kind
+/// byte + payload, so the payload is `&buf[1..]`, as with
+/// [`read_frame_into`]), uninterpreted.
 ///
 /// Frames from an **older** epoch are discarded (up to
 /// [`MAX_STALE_FRAMES`]): they are the in-flight deposits of a connection
 /// that raced a membership change — a zombie's state must be dropped, not
-/// averaged into `S̄`. A frame claiming a **future** epoch is a protocol
-/// violation (the coordinator is the only epoch authority).
-pub fn recv_at_epoch<R: Read>(r: &mut R, epoch: u32) -> Result<Msg, NetError> {
-    let mut buf = Vec::new();
-    let kind = recv_frame_at_epoch_into(r, epoch, &mut buf)?;
-    Msg::decode(kind, &buf[1..])
-}
-
-/// [`recv_at_epoch`] at the frame layer, into a caller-owned buffer: on
-/// success `buf` holds the current-epoch frame's body (kind byte +
-/// payload, so the payload is `&buf[1..]`, as with [`read_frame_into`]),
-/// uninterpreted. This is the receive path for payloads whose decoding
-/// needs out-of-band context (a coded state or model upload needs the
-/// negotiated codec and the expected shape); stale-epoch frames are
-/// skipped on their headers alone — a zombie's coded deposit must be
-/// discardable without being decodable. The round loops hold one buffer
-/// per connection, so steady-state receives allocate nothing.
+/// averaged into `S̄`. They are skipped on their headers alone, so a
+/// zombie's coded deposit is discardable without being decodable. A frame
+/// claiming a **future** epoch is a protocol violation (the coordinator is
+/// the only epoch authority). The round loops hold one buffer per
+/// connection, so steady-state receives allocate nothing.
 pub fn recv_frame_at_epoch_into<R: Read>(
     r: &mut R,
     epoch: u32,
@@ -326,58 +309,64 @@ pub fn recv_frame_at_epoch_into<R: Read>(
 mod tests {
     use super::*;
     use fda_core::monitor::{LinearMonitor, SketchMonitor, VarianceMonitor};
+    use fda_core::wire::{decode_vector_coded, encode_state_coded_into};
     use fda_sketch::SketchConfig;
 
-    fn roundtrip(msg: &Msg) -> (Msg, u32) {
-        let mut buf: Vec<u8> = Vec::new();
-        msg.send(&mut buf, 11).unwrap();
-        Msg::recv(&mut std::io::Cursor::new(buf)).unwrap()
+    /// Sends `msg` at epoch 11 and receives it back through the runtime's
+    /// receive path.
+    fn roundtrip(msg: &Msg) -> Msg {
+        let mut wire: Vec<u8> = Vec::new();
+        msg.send(&mut wire, 11).unwrap();
+        let mut buf = Vec::new();
+        let kind = recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 11, &mut buf).unwrap();
+        Msg::decode(kind, &buf[1..]).unwrap()
     }
 
     #[test]
     fn hello_roundtrip() {
         match roundtrip(&Msg::hello(3, 42)) {
-            (
-                Msg::Hello {
-                    version,
-                    worker_id,
-                    last_epoch,
-                },
-                epoch,
-            ) => {
+            Msg::Hello {
+                version,
+                worker_id,
+                last_epoch,
+            } => {
                 assert_eq!(version, PROTOCOL_VERSION);
                 assert_eq!(worker_id, 3);
                 assert_eq!(last_epoch, 42);
-                assert_eq!(epoch, 11);
             }
-            (other, _) => panic!("wrong kind: {}", other.kind_name()),
+            other => panic!("wrong kind: {}", other.kind().label()),
         }
     }
 
+    /// The averaged state round-trips bitwise through the typed path and
+    /// through a worker's template decode; a template of another summary
+    /// kind is a decode error, not a state the monitor cannot estimate.
     #[test]
     fn state_and_avg_state_roundtrip_bitwise() {
         let drift: Vec<f32> = (0..96).map(|i| (i as f32 * 0.11).sin()).collect();
-        for state in [
-            LinearMonitor::new().local_state(&drift),
-            SketchMonitor::new(SketchConfig::new(3, 16, 5), drift.len()).local_state(&drift),
-        ] {
-            match roundtrip(&Msg::State(state.clone())) {
-                (Msg::State(back), epoch) => {
-                    assert_eq!(back, state);
-                    assert_eq!(epoch, 11);
-                }
-                (other, _) => panic!("wrong kind: {}", other.kind_name()),
-            }
+        let linear = LinearMonitor::new().local_state(&drift);
+        let sketch =
+            SketchMonitor::new(SketchConfig::new(3, 16, 5), drift.len()).local_state(&drift);
+        for (state, other) in [(&linear, &sketch), (&sketch, &linear)] {
             match roundtrip(&Msg::AvgState {
                 state: state.clone(),
                 sync: true,
             }) {
-                (Msg::AvgState { state: back, sync }, _) => {
-                    assert_eq!(back, state);
+                Msg::AvgState { state: back, sync } => {
+                    assert_eq!(&back, state);
                     assert!(sync);
                 }
-                (other, _) => panic!("wrong kind: {}", other.kind_name()),
+                other => panic!("wrong kind: {}", other.kind().label()),
             }
+            let mut payload = Vec::new();
+            encode_avg_state_into(state, false, &mut payload);
+            let (back, sync) = decode_avg_state(&payload, Some(state)).unwrap();
+            assert_eq!(&back, state);
+            assert!(!sync);
+            assert!(matches!(
+                decode_avg_state(&payload, Some(other)),
+                Err(NetError::Decode(_))
+            ));
         }
     }
 
@@ -392,54 +381,18 @@ mod tests {
                 prev_model: prev_model.clone(),
             };
             match roundtrip(&msg) {
-                (
-                    Msg::Resume {
-                        round,
-                        model: m,
-                        prev_model: p,
-                    },
-                    _,
-                ) => {
+                Msg::Resume {
+                    round,
+                    model: m,
+                    prev_model: p,
+                } => {
                     assert_eq!(round, 6);
                     assert_eq!(m, model);
                     assert_eq!(p, prev_model);
                 }
-                (other, _) => panic!("wrong kind: {}", other.kind_name()),
+                other => panic!("wrong kind: {}", other.kind().label()),
             }
-            assert_eq!(msg.accounted_bytes(), 0, "resume is control plane");
         }
-    }
-
-    #[test]
-    fn model_roundtrip_and_accounting() {
-        let v: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5).collect();
-        let msg = Msg::Model(v.clone());
-        assert_eq!(msg.accounted_bytes(), 4000);
-        match roundtrip(&msg) {
-            (Msg::Model(back), _) => assert_eq!(back, v),
-            (other, _) => panic!("wrong kind: {}", other.kind_name()),
-        }
-        // Control-plane and evaluation messages are never charged.
-        assert_eq!(Msg::AvgModel(v.clone()).accounted_bytes(), 0);
-        assert_eq!(Msg::FinalModel(v).accounted_bytes(), 0);
-        assert_eq!(Msg::Shutdown.accounted_bytes(), 0);
-    }
-
-    /// A state message's accounted bytes must equal the monitor's
-    /// `state_bytes` — the exact quantity the simulator charges per step.
-    #[test]
-    fn state_accounting_matches_monitor_convention() {
-        let drift: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        let lin = LinearMonitor::new();
-        assert_eq!(
-            Msg::State(lin.local_state(&drift)).accounted_bytes(),
-            lin.state_bytes()
-        );
-        let sk = SketchMonitor::new(SketchConfig::new(5, 25, 1), 64);
-        assert_eq!(
-            Msg::State(sk.local_state(&drift)).accounted_bytes(),
-            sk.state_bytes()
-        );
     }
 
     /// The zombie guard: stale-epoch frames are skipped, the current-epoch
@@ -448,32 +401,46 @@ mod tests {
     #[test]
     fn stale_epochs_skipped_future_rejected() {
         let state = LinearMonitor::new().local_state(&[1.0, 2.0, 3.0]);
-        let mut buf: Vec<u8> = Vec::new();
-        Msg::State(state.clone()).send(&mut buf, 3).unwrap(); // stale
-        Msg::State(state.clone()).send(&mut buf, 4).unwrap(); // stale
-        Msg::Model(vec![9.0]).send(&mut buf, 5).unwrap(); // current
-        let mut cursor = std::io::Cursor::new(buf);
-        match recv_at_epoch(&mut cursor, 5).unwrap() {
-            Msg::Model(v) => assert_eq!(v, vec![9.0]),
-            other => panic!("wrong kind: {}", other.kind_name()),
+        let mut deposit = Vec::new();
+        encode_state_coded_into(&state, &Dense32, &mut deposit);
+        let mut upload = Vec::new();
+        encode_vector_into(&[9.0], &mut upload);
+        let mut buf = Vec::new();
+        // Uplinks are frame-layer payloads: the typed path refuses them.
+        for (kind, payload) in [(FrameKind::State, &deposit), (FrameKind::Model, &upload)] {
+            assert!(matches!(
+                Msg::decode(kind, payload),
+                Err(NetError::Protocol(_))
+            ));
         }
 
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 3, FrameKind::State, &deposit).unwrap(); // stale
+        write_frame(&mut wire, 4, FrameKind::State, &deposit).unwrap(); // stale
+        write_frame(&mut wire, 5, FrameKind::Model, &upload).unwrap(); // current
+        let kind = recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 5, &mut buf).unwrap();
+        assert_eq!(kind, FrameKind::Model);
+        assert_eq!(
+            decode_vector_coded(&buf[1..], 1, &Dense32).unwrap(),
+            vec![9.0]
+        );
+
         // Future epoch → protocol violation.
-        let mut buf: Vec<u8> = Vec::new();
-        Msg::State(state.clone()).send(&mut buf, 9).unwrap();
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, 9, FrameKind::State, &deposit).unwrap();
         assert!(matches!(
-            recv_at_epoch(&mut std::io::Cursor::new(buf), 5),
+            recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 5, &mut buf),
             Err(NetError::Protocol(_))
         ));
 
         // A flood of stale frames → protocol violation, not an endless
         // discard loop.
-        let mut buf: Vec<u8> = Vec::new();
+        let mut wire: Vec<u8> = Vec::new();
         for _ in 0..(MAX_STALE_FRAMES + 2) {
-            Msg::State(state.clone()).send(&mut buf, 1).unwrap();
+            write_frame(&mut wire, 1, FrameKind::State, &deposit).unwrap();
         }
         assert!(matches!(
-            recv_at_epoch(&mut std::io::Cursor::new(buf), 5),
+            recv_frame_at_epoch_into(&mut std::io::Cursor::new(wire), 5, &mut buf),
             Err(NetError::Protocol(_))
         ));
     }

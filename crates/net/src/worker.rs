@@ -29,7 +29,7 @@ use crate::fault::{Backoff, FaultAction, RejoinPolicy, FAULT_EXIT_CODE};
 use crate::frame::{
     encode_frame, read_frame_into, write_frame, CountingStream, FrameKind, NetError,
 };
-use crate::protocol::{downlink_kind, Msg};
+use crate::protocol::{decode_avg_state, downlink_kind, Msg};
 use fda_core::cluster::Worker;
 use fda_core::round::{apply_downlink, evaluate, RoundEngine};
 use fda_core::wire::{encode_state_coded_into, encode_vector_coded_into, JobSpec};
@@ -157,17 +157,26 @@ impl Session {
     }
 
     fn recv(&mut self) -> Result<Msg, NetError> {
-        let kind = self.recv_frame()?;
+        let (kind, epoch) = read_frame_into(&mut self.stream, &mut self.rbuf)?;
+        self.epoch = epoch;
         Msg::decode(kind, &self.rbuf[1..])
     }
 
-    /// Receives one frame into the session buffer without interpreting
-    /// the payload (it lands at `self.rbuf[1..]`) — the downlink path for
-    /// payloads whose decoding needs the job's downlink codec.
-    fn recv_frame(&mut self) -> Result<FrameKind, NetError> {
-        let (kind, epoch) = read_frame_into(&mut self.stream, &mut self.rbuf)?;
+    /// Receives one frame that must be of `kind`, returning its payload
+    /// uninterpreted — the path for payloads whose decoding needs the
+    /// job's codecs or this worker's shapes.
+    fn recv_payload(&mut self, kind: FrameKind) -> Result<&[u8], NetError> {
+        let (got, epoch) = read_frame_into(&mut self.stream, &mut self.rbuf)?;
         self.epoch = epoch;
-        Ok(kind)
+        if got != kind {
+            return Err(NetError::Protocol(format!(
+                "worker {}: expected {}, got {}",
+                self.id,
+                kind.label(),
+                got.label()
+            )));
+        }
+        Ok(&self.rbuf[1..])
     }
 
     fn send(&mut self, msg: &Msg) -> Result<(), NetError> {
@@ -185,7 +194,7 @@ impl Session {
         NetError::Protocol(format!(
             "worker {}: expected {expected}, got {}",
             self.id,
-            got.kind_name()
+            got.kind().label()
         ))
     }
 
@@ -322,16 +331,15 @@ fn run_session(
             }
         }
 
-        // (3) The averaged state. Every worker holds the same S̄ and
-        // evaluates `H(S̄) > Θ` itself with the engine's rule — the
-        // decision byte is a cross-check, not a trusted oracle; any
-        // disagreement (a coordinator running different monitor code, a
-        // corrupted frame that still decoded) is a protocol error, not a
-        // silent divergence.
-        let (avg, sync) = match session.recv()? {
-            Msg::AvgState { state, sync } => (state, sync),
-            other => return Err(session.protocol_err("avg-state", &other)),
-        };
+        // (3) The averaged state, decoded against this round's own state
+        // as the template, so a summary of another kind or shape is a
+        // decode error. Every worker holds the same S̄ and evaluates
+        // `H(S̄) > Θ` itself with the engine's rule — the decision byte is
+        // a cross-check, not a trusted oracle; any disagreement (a
+        // coordinator running different monitor code, a corrupted frame
+        // that still decoded) is a protocol error, not a silent divergence.
+        let payload = session.recv_payload(FrameKind::AvgState)?;
+        let (avg, sync) = decode_avg_state(payload, Some(&state))?;
         let (_, local_decision) = evaluate(engine.monitor(), &avg, engine.theta());
         if local_decision != sync {
             return Err(NetError::Protocol(format!(
@@ -346,16 +354,8 @@ fn run_session(
             ubuf.clear();
             encode_vector_coded_into(&params, engine.codec(), &mut ubuf);
             session.send_frame(FrameKind::Model, &ubuf)?;
-            let kind = session.recv_frame()?;
-            if kind != downlink_kind {
-                return Err(NetError::Protocol(format!(
-                    "worker {}: expected {}, got {}",
-                    session.id,
-                    downlink_kind.label(),
-                    kind.label()
-                )));
-            }
-            let avg = apply_downlink(engine.consensus(), &session.rbuf[1..], engine.downlink())?;
+            let payload = session.recv_payload(downlink_kind)?;
+            let avg = apply_downlink(engine.consensus(), payload, engine.downlink())?;
             worker.model_mut().load_params(&avg);
             params.copy_from_slice(&avg);
             engine.adopt(avg);

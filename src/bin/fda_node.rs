@@ -33,8 +33,8 @@ use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
 use fda::data::Partition;
 use fda::net::{
-    run_chaos_with_spawned_workers_telemetry, run_event, run_worker, Coordinator, FaultAction,
-    FaultPlan, NetReport, RejoinPolicy, RoundPolicy, WorkerOptions, WorkerOutcome, FAULT_EXIT_CODE,
+    run_event, run_worker, Coordinator, FaultAction, FaultPlan, NetReport, RejoinPolicy,
+    RoundPolicy, RunOptions, WorkerOptions, WorkerOutcome, FAULT_EXIT_CODE,
 };
 use fda::nn::zoo::ModelId;
 use fda::optim::OptimizerKind;
@@ -284,14 +284,14 @@ fn main() {
             let node_bin = std::env::current_exe().expect("own binary path");
             let policy = round_policy_from_args(&args);
             let (telemetry, _metrics) = obs_from_args(&args);
-            match run_chaos_with_spawned_workers_telemetry(
-                &spec,
-                &node_bin,
-                &plan,
+            let opts = RunOptions {
+                node_bin: Some(&node_bin),
+                plan,
                 policy,
-                Duration::from_secs(60),
-                telemetry.as_deref(),
-            ) {
+                telemetry: telemetry.as_deref(),
+                ..RunOptions::default()
+            };
+            match fda::net::run(&spec, &opts).report {
                 Ok(report) => print_report(&report, &spec),
                 Err(e) => {
                     eprintln!("fda_node demo: {e}");

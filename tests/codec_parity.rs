@@ -19,7 +19,7 @@ use fda::core::fda::{Fda, FdaConfig, FdaVariant};
 use fda::core::strategy::Strategy;
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
-use fda::net::run_with_spawned_workers;
+use fda::net::{run, RunOptions};
 use std::path::Path;
 
 const STEPS: u32 = 8;
@@ -65,8 +65,12 @@ fn codecs() -> Vec<CodecSpec> {
 /// Returns the run's charged bytes for cross-codec comparisons.
 fn assert_codec_parity(k: usize, codec: CodecSpec) -> u64 {
     let spec = spec(k, codec);
-    let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
-    let report = run_with_spawned_workers(&spec, node_bin)
+    let processes = RunOptions {
+        node_bin: Some(Path::new(env!("CARGO_BIN_EXE_fda_node"))),
+        ..RunOptions::default()
+    };
+    let report = run(&spec, &processes)
+        .report
         .unwrap_or_else(|e| panic!("k={k} codec={}: {e}", codec.name()));
 
     let task = spec.synth.generate(&spec.task_name);

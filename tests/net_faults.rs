@@ -15,17 +15,21 @@
 
 use fda::core::cluster::ClusterConfig;
 use fda::core::fda::FdaConfig;
+use fda::core::monitor::{SketchMonitor, VarianceMonitor};
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
+use fda::net::coordinator::HELLO_TIMEOUT;
+use fda::net::frame::read_frame_into;
 use fda::net::{
-    run_chaos_with_spawned_workers, run_chaos_with_thread_workers, run_with_thread_workers,
-    run_worker, Coordinator, DropReason, FaultAction, FaultPlan, MemberEvent, MembershipEvent, Msg,
-    NetError, NetReport, RejoinPolicy, RoundPolicy, WorkerOptions, WorkerOutcome, PROTOCOL_VERSION,
+    run, run_with_thread_workers, run_worker, Coordinator, DropReason, FaultAction, FaultPlan,
+    FrameKind, LoopbackRun, MemberEvent, MembershipEvent, Msg, NetError, NetReport, RejoinPolicy,
+    RoundPolicy, RunOptions, WorkerOptions, WorkerOutcome, PROTOCOL_VERSION,
 };
+use fda::sketch::SketchConfig;
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const IO_TIMEOUT: Duration = Duration::from_secs(15);
 
@@ -54,6 +58,23 @@ fn policy(min_workers: usize) -> RoundPolicy {
         deposit_timeout: Duration::from_secs(10),
         admissions: Vec::new(),
     }
+}
+
+/// A thread-worker run of `spec` under a fault plan.
+fn chaos(
+    spec: &JobSpec,
+    plan: &FaultPlan,
+    policy: RoundPolicy,
+    rejoin: Option<RejoinPolicy>,
+) -> LoopbackRun {
+    let opts = RunOptions {
+        plan: plan.clone(),
+        policy,
+        rejoin,
+        io_timeout: IO_TIMEOUT,
+        ..RunOptions::default()
+    };
+    run(spec, &opts)
 }
 
 /// Bitwise comparison of two surviving trajectories.
@@ -111,12 +132,20 @@ fn k4_process_kill_survives_with_k3_bit_identically() {
     let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
     let plan = FaultPlan::new().fault(2, FaultAction::ExitBeforeState(4));
 
-    let run = || {
-        run_chaos_with_spawned_workers(&spec, node_bin, &plan, policy(2), IO_TIMEOUT)
+    let opts = RunOptions {
+        node_bin: Some(node_bin),
+        plan,
+        policy: policy(2),
+        io_timeout: IO_TIMEOUT,
+        ..RunOptions::default()
+    };
+    let processes = || {
+        run(&spec, &opts)
+            .report
             .expect("chaos run should survive a single death")
     };
-    let a = run();
-    let b = run();
+    let a = processes();
+    let b = processes();
 
     assert_eq!(a.survivors, vec![0, 1, 3], "worker 2 must be gone");
     assert_eq!(a.worker_params.len(), 3);
@@ -146,8 +175,7 @@ fn below_quorum_aborts_with_typed_error() {
         .fault(1, FaultAction::KillBeforeState(3))
         .fault(2, FaultAction::KillBeforeState(3));
 
-    let (report, workers) =
-        run_chaos_with_thread_workers(&spec, &plan, policy(3), None, IO_TIMEOUT);
+    let LoopbackRun { report, workers } = chaos(&spec, &plan, policy(3), None);
     match report {
         Err(NetError::Quorum {
             round,
@@ -181,9 +209,11 @@ fn corrupt_frame_drops_worker_as_protocol_violation() {
     let spec = spec(3, 6);
     let plan = FaultPlan::new().fault(1, FaultAction::FlipStateBit { step: 2, bit: 137 });
 
-    let run = || run_chaos_with_thread_workers(&spec, &plan, policy(1), None, IO_TIMEOUT);
-    let (a, workers_a) = run();
-    let (b, _) = run();
+    let LoopbackRun {
+        report: a,
+        workers: workers_a,
+    } = chaos(&spec, &plan, policy(1), None);
+    let b = chaos(&spec, &plan, policy(1), None).report;
     let a = a.expect("run survives a corrupt frame");
     let b = b.expect("run survives a corrupt frame");
 
@@ -215,8 +245,7 @@ fn stalled_worker_is_dropped_on_deposit_deadline() {
         admissions: Vec::new(),
     };
 
-    let (report, workers) =
-        run_chaos_with_thread_workers(&spec, &plan, tight.clone(), None, IO_TIMEOUT);
+    let LoopbackRun { report, workers } = chaos(&spec, &plan, tight, None);
     let report = report.expect("run survives a stalled worker");
     assert_eq!(report.survivors, vec![0, 1]);
     assert_eq!(report.decisions.len(), 5, "all rounds ran");
@@ -254,10 +283,11 @@ fn truncated_worker_rejoins_at_scheduled_round_bit_identically() {
         max_backoff: Duration::from_millis(50),
     };
 
-    let run =
-        || run_chaos_with_thread_workers(&spec, &plan, policy.clone(), Some(rejoin), IO_TIMEOUT);
-    let (a, workers_a) = run();
-    let (b, _) = run();
+    let LoopbackRun {
+        report: a,
+        workers: workers_a,
+    } = chaos(&spec, &plan, policy.clone(), Some(rejoin));
+    let b = chaos(&spec, &plan, policy, Some(rejoin)).report;
     let a = a.expect("elastic run completes");
     let b = b.expect("elastic run completes");
 
@@ -324,10 +354,11 @@ fn truncated_worker_rejoins_under_delta_downlink_bit_identically() {
         max_backoff: Duration::from_millis(50),
     };
 
-    let run =
-        || run_chaos_with_thread_workers(&spec, &plan, policy.clone(), Some(rejoin), IO_TIMEOUT);
-    let (a, workers_a) = run();
-    let (b, _) = run();
+    let LoopbackRun {
+        report: a,
+        workers: workers_a,
+    } = chaos(&spec, &plan, policy.clone(), Some(rejoin));
+    let b = chaos(&spec, &plan, policy, Some(rejoin)).report;
     let a = a.expect("elastic delta run completes");
     let b = b.expect("elastic delta run completes");
 
@@ -354,19 +385,16 @@ fn truncated_worker_rejoins_under_delta_downlink_bit_identically() {
     assert_bit_identical(&a, &b, "truncate + rejoin under delta downlink");
 }
 
-/// The zero-fault chaos path is the plain path: an empty plan through the
-/// chaos driver must reproduce `run_with_thread_workers` bit for bit,
+/// The zero-fault chaos path is the plain path: an empty plan under the
+/// chaos io timeout must reproduce `run_with_thread_workers` bit for bit,
 /// with full membership and measured == charged accounting.
 #[test]
 fn empty_plan_matches_clean_run_bitwise() {
     let spec = spec(3, 6);
-    let (chaos, workers) = run_chaos_with_thread_workers(
-        &spec,
-        &FaultPlan::new(),
-        RoundPolicy::default(),
-        None,
-        IO_TIMEOUT,
-    );
+    let LoopbackRun {
+        report: chaos,
+        workers,
+    } = chaos(&spec, &FaultPlan::new(), RoundPolicy::default(), None);
     let chaos = chaos.expect("zero-fault chaos run");
     let clean = run_with_thread_workers(&spec).expect("clean run");
 
@@ -375,7 +403,7 @@ fn empty_plan_matches_clean_run_bitwise() {
     assert!(drops_of(&chaos).is_empty(), "no drops without faults");
     assert_eq!(
         chaos.measured_payload_bytes, chaos.charged_bytes,
-        "measured == charged still holds through the chaos driver"
+        "measured == charged still holds on the chaos path"
     );
     for (id, w) in workers.iter().enumerate() {
         assert!(
@@ -385,18 +413,24 @@ fn empty_plan_matches_clean_run_bitwise() {
     }
 }
 
-/// Stray peers on the coordinator port at formation — raw non-protocol
-/// bytes and a hello speaking another protocol version — cost only their
-/// own connections: the run forms with the K real workers and reproduces
-/// the clean run bit for bit.
+/// Stray peers on the coordinator port at formation — a silent socket,
+/// raw non-protocol bytes, a hello speaking another protocol version and
+/// a hello with an out-of-range id — cost only their own connections: the
+/// run forms with the K real workers and reproduces the clean run bit for
+/// bit. The silent socket costs its hello deadline, not the io timeout.
 #[test]
 fn stray_peers_at_formation_leave_the_run_bit_identical() {
     let spec = spec(2, 6);
     let clean = run_with_thread_workers(&spec).expect("clean run");
 
-    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind loopback");
+    let mut coordinator = Coordinator::bind("127.0.0.1:0").expect("bind loopback");
+    assert!(IO_TIMEOUT >= 3 * HELLO_TIMEOUT);
+    coordinator.set_timeouts(Duration::from_secs(20), IO_TIMEOUT);
     let addr = coordinator.local_addr().expect("bound address");
-    // Both strays connect and speak before any worker does.
+    let started = Instant::now();
+    // Every stray connects before any worker does; the silent one first,
+    // so formation must get past it.
+    let silent = TcpStream::connect(addr).expect("silent peer connects");
     let mut garbage = TcpStream::connect(addr).expect("garbage peer connects");
     garbage
         .write_all(b"GET / HTTP/1.0\r\n\r\n")
@@ -409,6 +443,10 @@ fn stray_peers_at_formation_leave_the_run_bit_identical() {
     }
     .send(&mut stale, 0)
     .expect("stale hello sent");
+    let mut out_of_range = TcpStream::connect(addr).expect("out-of-range peer connects");
+    Msg::hello(spec.cluster.workers as u32, 0)
+        .send(&mut out_of_range, 0)
+        .expect("out-of-range hello sent");
 
     let (report, outcomes) = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..2u32)
@@ -424,7 +462,8 @@ fn stray_peers_at_formation_leave_the_run_bit_identical() {
             .collect();
         (report, outcomes)
     });
-    drop((garbage, stale));
+    let elapsed = started.elapsed();
+    drop((silent, garbage, stale, out_of_range));
 
     let report = report.expect("stray peers must not end the run");
     for outcome in &outcomes {
@@ -433,8 +472,63 @@ fn stray_peers_at_formation_leave_the_run_bit_identical() {
             "worker should complete: {outcome:?}"
         );
     }
+    assert!(
+        elapsed < IO_TIMEOUT / 2,
+        "a silent socket stalled formation: the run took {elapsed:?}"
+    );
     assert_bit_identical(&report, &clean, "stray peers vs clean");
     assert_eq!(report.survivors, vec![0, 1]);
+}
+
+/// A checksum-valid `AvgState` whose summary belongs to another monitor —
+/// a Sketch summary sent to a LinearFDA worker — ends the worker with a
+/// typed decode error, not a panic inside the monitor.
+#[test]
+fn mismatched_avg_state_is_a_worker_decode_error() {
+    let spec = spec(1, 3);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let worker = std::thread::spawn(move || {
+        let opts = WorkerOptions {
+            io_timeout: IO_TIMEOUT,
+            ..WorkerOptions::default()
+        };
+        run_worker(addr, 0, &opts)
+    });
+
+    // A fake coordinator: the join handshake, then the round-0 deposit.
+    let (mut conn, _) = listener.accept().expect("worker connects");
+    conn.set_read_timeout(Some(IO_TIMEOUT)).expect("timeout");
+    let (hello, _) = Msg::recv(&mut conn).expect("hello");
+    assert!(matches!(hello, Msg::Hello { worker_id: 0, .. }));
+    Msg::Config(Box::new(spec.clone()))
+        .send(&mut conn, 1)
+        .expect("config sent");
+    let w0 = spec.cluster.model.build(spec.cluster.seed, 0).params_flat();
+    Msg::Resume {
+        round: 0,
+        model: w0,
+        prev_model: None,
+    }
+    .send(&mut conn, 1)
+    .expect("resume sent");
+    let (kind, _) = read_frame_into(&mut conn, &mut Vec::new()).expect("deposit");
+    assert_eq!(kind, FrameKind::State);
+
+    let drift = [0.5f32; 64];
+    let sketch = SketchMonitor::new(SketchConfig::new(3, 16, 5), drift.len()).local_state(&drift);
+    Msg::AvgState {
+        state: sketch,
+        sync: false,
+    }
+    .send(&mut conn, 1)
+    .expect("avg-state sent");
+
+    let outcome = worker.join().expect("the worker must not panic");
+    assert!(
+        matches!(outcome, Err(NetError::Decode(_))),
+        "expected a decode error, got {outcome:?}"
+    );
 }
 
 /// Seeded plans are values: the same seed draws the same chaos, and a

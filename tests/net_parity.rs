@@ -20,7 +20,7 @@ use fda::core::fda::{Fda, FdaConfig, FdaVariant};
 use fda::core::strategy::Strategy;
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
-use fda::net::{run_with_spawned_workers, NetReport};
+use fda::net::{run, NetReport, RunOptions};
 use std::path::Path;
 
 const STEPS: u32 = 8;
@@ -65,9 +65,13 @@ fn variants() -> Vec<(&'static str, FdaConfig)> {
 /// cluster, then asserts bit-identity and measured-== -charged accounting.
 fn assert_parity(k: usize, tag: &str, fda: FdaConfig) {
     let spec = spec(k, fda);
-    let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
-    let report =
-        run_with_spawned_workers(&spec, node_bin).unwrap_or_else(|e| panic!("k={k} {tag}: {e}"));
+    let processes = RunOptions {
+        node_bin: Some(Path::new(env!("CARGO_BIN_EXE_fda_node"))),
+        ..RunOptions::default()
+    };
+    let report = run(&spec, &processes)
+        .report
+        .unwrap_or_else(|e| panic!("k={k} {tag}: {e}"));
 
     let task = spec.synth.generate(&spec.task_name);
     let mut sim = Fda::new(spec.fda, spec.cluster.clone(), &task);
@@ -130,9 +134,13 @@ fn assert_parity(k: usize, tag: &str, fda: FdaConfig) {
 fn assert_downlink_parity(k: usize, tag: &str, downlink: fda::comm::DownlinkSpec) -> NetReport {
     let mut spec = spec(k, FdaConfig::linear(0.0));
     spec.downlink = downlink;
-    let node_bin = Path::new(env!("CARGO_BIN_EXE_fda_node"));
-    let report =
-        run_with_spawned_workers(&spec, node_bin).unwrap_or_else(|e| panic!("k={k} {tag}: {e}"));
+    let processes = RunOptions {
+        node_bin: Some(Path::new(env!("CARGO_BIN_EXE_fda_node"))),
+        ..RunOptions::default()
+    };
+    let report = run(&spec, &processes)
+        .report
+        .unwrap_or_else(|e| panic!("k={k} {tag}: {e}"));
 
     let task = spec.synth.generate(&spec.task_name);
     let mut sim = Fda::new(spec.fda, spec.cluster.clone(), &task);

@@ -19,9 +19,7 @@ use fda::core::fda::{Fda, FdaConfig};
 use fda::core::strategy::Strategy;
 use fda::core::wire::JobSpec;
 use fda::data::synth::SynthSpec;
-use fda::net::{
-    run_chaos_with_spawned_workers_telemetry, FaultAction, FaultPlan, MemberEvent, RoundPolicy,
-};
+use fda::net::{run, FaultAction, FaultPlan, MemberEvent, RoundPolicy, RunOptions};
 use fda::obs::{read_jsonl, Json, JsonlWriter, RoundEvent, RunEvent, SCHEMA_VERSION};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -77,15 +75,17 @@ fn k4_faulted_process_run_round_events_reconcile() {
     };
     let path = temp_path("k4_faulted");
 
-    let report = run_chaos_with_spawned_workers_telemetry(
-        &spec,
-        node_bin,
-        &plan,
+    let opts = RunOptions {
+        node_bin: Some(node_bin),
+        plan,
         policy,
-        Duration::from_secs(60),
-        Some(&path),
-    )
-    .expect("chaos run survives one death");
+        io_timeout: Duration::from_secs(60),
+        telemetry: Some(&path),
+        ..RunOptions::default()
+    };
+    let report = run(&spec, &opts)
+        .report
+        .expect("chaos run survives one death");
 
     let lines = read_jsonl(&path).expect("telemetry stream readable");
     std::fs::remove_file(&path).ok();

@@ -7,11 +7,13 @@
 //! and values, and every failure message carries the case seed so a
 //! counterexample reproduces exactly.
 
+use fda::comm::{Codec, Dense32};
 use fda::core::monitor::{
     ExactMonitor, LinearMonitor, LocalState, SketchMonitor, StateSummary, VarianceMonitor,
 };
 use fda::core::wire;
 use fda::data::{Dataset, Partition};
+use fda::net::{FrameKind, NetError};
 use fda::nn::conv::Conv2d;
 use fda::nn::init::Init;
 use fda::nn::layer::Shape3;
@@ -369,6 +371,21 @@ fn random_state(rng: &mut Rng) -> LocalState {
     }
 }
 
+/// A state's wire bytes under `codec`, through the runtime's appending
+/// encoder.
+fn state_bytes(state: &LocalState, codec: &dyn Codec) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::encode_state_coded_into(state, codec, &mut out);
+    out
+}
+
+/// A vector's wire bytes under `codec`.
+fn vector_bytes(v: &[f32], codec: &dyn Codec) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::encode_vector_coded_into(v, codec, &mut out);
+    out
+}
+
 /// Wire round trip: `encode → decode → encode` must be **byte-identical**
 /// for every state tag (the transport's framing invariant), and decode
 /// must reject every strict truncation of a valid buffer.
@@ -377,12 +394,12 @@ fn wire_state_roundtrip_byte_equality() {
     for case in 0..CASES {
         let mut rng = Rng::new(0xA1_0000 + case);
         let state = random_state(&mut rng);
-        let bytes = wire::encode_state(&state);
+        let bytes = state_bytes(&state, &Dense32);
         let back = wire::decode_state(&bytes)
             .unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
         assert_eq!(back, state, "case {case}: state changed in roundtrip");
         assert_eq!(
-            wire::encode_state(&back),
+            state_bytes(&back, &Dense32),
             bytes,
             "case {case}: re-encode not byte-identical"
         );
@@ -404,10 +421,10 @@ fn wire_vector_roundtrip_byte_equality() {
         let len = (rng.next_u64() % 200) as usize; // includes 0
         let mut v = vec![0.0f32; len];
         rng.fill_uniform(&mut v, -5.0, 5.0);
-        let bytes = wire::encode_vector(&v);
+        let bytes = vector_bytes(&v, &Dense32);
         let back = wire::decode_vector(&bytes).expect("valid frame decodes");
         assert_eq!(back, v, "case {case}");
-        assert_eq!(wire::encode_vector(&back), bytes, "case {case}");
+        assert_eq!(vector_bytes(&back, &Dense32), bytes, "case {case}");
         for cut in 0..bytes.len() {
             assert!(wire::decode_vector(&bytes[..cut]).is_err(), "case {case}");
         }
@@ -432,13 +449,17 @@ fn wire_decoders_are_total_under_fuzz() {
         task_name: "fuzz".to_string(),
     };
     let valid: Vec<Vec<u8>> = vec![
-        wire::encode_state(&LinearMonitor::new().local_state(&[1.0, -2.0, 0.5])),
-        wire::encode_state(
+        state_bytes(
+            &LinearMonitor::new().local_state(&[1.0, -2.0, 0.5]),
+            &Dense32,
+        ),
+        state_bytes(
             &SketchMonitor::new(SketchConfig::new(3, 8, 5), 16)
                 .local_state(&(0..16).map(|i| i as f32).collect::<Vec<_>>()),
+            &Dense32,
         ),
-        wire::encode_state(&ExactMonitor::new(10).local_state(&[0.25; 10])),
-        wire::encode_vector(&[1.0, 2.0, 3.0]),
+        state_bytes(&ExactMonitor::new(10).local_state(&[0.25; 10]), &Dense32),
+        vector_bytes(&[1.0, 2.0, 3.0], &Dense32),
         wire::encode_job(&job),
     ];
     let decode_all = |buf: &[u8]| {
@@ -494,9 +515,9 @@ fn wire_decoders_are_total_under_fuzz() {
 // Transport frames: checksummed, epoch-stamped, hostile-input-total
 // ---------------------------------------------------------------------------
 
-/// A random protocol message covering every frame kind the transport
-/// ships, including the elastic-transport kinds (extended hello, the
-/// versioned `Resume` handoff with and without a previous model).
+/// A random typed message covering every kind `Msg` carries, including
+/// the elastic-transport kinds (extended hello, the versioned `Resume`
+/// handoff with and without a previous model).
 fn random_msg(rng: &mut Rng) -> fda::net::Msg {
     use fda::net::Msg;
     let vec_of = |rng: &mut Rng, max: u64| {
@@ -505,17 +526,15 @@ fn random_msg(rng: &mut Rng) -> fda::net::Msg {
         rng.fill_uniform(&mut v, -4.0, 4.0);
         v
     };
-    match rng.next_u64() % 8 {
+    match rng.next_u64() % 6 {
         0 => Msg::hello((rng.next_u64() % 64) as u32, (rng.next_u64() % 1000) as u32),
-        1 => Msg::State(random_state(rng)),
-        2 => Msg::AvgState {
+        1 => Msg::AvgState {
             state: random_state(rng),
             sync: rng.next_u64().is_multiple_of(2),
         },
-        3 => Msg::Model(vec_of(rng, 60)),
-        4 => Msg::AvgModel(vec_of(rng, 60)),
-        5 => Msg::FinalModel(vec_of(rng, 60)),
-        6 => {
+        2 => Msg::AvgModel(vec_of(rng, 60)),
+        3 => Msg::FinalModel(vec_of(rng, 60)),
+        4 => {
             let model = vec_of(rng, 60);
             let prev_model = if rng.next_u64().is_multiple_of(2) {
                 let mut p = vec![0.0f32; model.len()];
@@ -534,26 +553,29 @@ fn random_msg(rng: &mut Rng) -> fda::net::Msg {
     }
 }
 
-/// Every protocol message — extended hello and `Resume` included — must
-/// survive `send → recv` with its epoch stamp intact and re-encode to the
-/// exact same frame bytes (the transport's framing invariant, now over
-/// the epoch-stamped checksummed header).
+/// Reads the first frame of `bytes` through the runtime's reader, into
+/// `buf` (kind byte + payload).
+fn read_frame_of(bytes: &[u8], buf: &mut Vec<u8>) -> Result<(FrameKind, u32), NetError> {
+    fda::net::frame::read_frame_into(&mut std::io::Cursor::new(bytes), buf)
+}
+
+/// Every typed message — extended hello and `Resume` included — must
+/// survive `send → read_frame_into → decode` with its epoch stamp intact
+/// and re-encode to the exact same frame bytes (the transport's framing
+/// invariant, over the epoch-stamped checksummed header).
 #[test]
 fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
+    let mut buf = Vec::new();
     for case in 0..CASES {
         let mut rng = Rng::new(0xD1_0000 + case);
         let msg = random_msg(&mut rng);
         let epoch = (rng.next_u64() % 10_000) as u32;
         let mut bytes: Vec<u8> = Vec::new();
         msg.send(&mut bytes, epoch).expect("encode");
-        let (back, back_epoch) =
-            fda::net::Msg::recv(&mut std::io::Cursor::new(&bytes)).expect("decode");
+        let (kind, back_epoch) = read_frame_of(&bytes, &mut buf).expect("read");
+        let back = fda::net::Msg::decode(kind, &buf[1..]).expect("decode");
         assert_eq!(back_epoch, epoch, "case {case}: epoch stamp changed");
-        assert_eq!(
-            back.kind_name(),
-            msg.kind_name(),
-            "case {case}: kind changed"
-        );
+        assert_eq!(back.kind(), msg.kind(), "case {case}: kind changed");
         let mut re: Vec<u8> = Vec::new();
         back.send(&mut re, epoch).expect("re-encode");
         assert_eq!(re, bytes, "case {case}: re-encode not byte-identical");
@@ -562,7 +584,7 @@ fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
         // length field) must look like a disconnect, never decode.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                fda::net::Msg::recv(&mut std::io::Cursor::new(&bytes[..cut])).is_err(),
+                read_frame_of(&bytes[..cut], &mut buf).is_err(),
                 "case {case}: cut at {cut} decoded"
             );
         }
@@ -570,17 +592,18 @@ fn frame_msg_roundtrip_preserves_epoch_and_bytes() {
 }
 
 /// Frame-level decode totality: byte soup and random mutations of valid
-/// frames through `read_frame` must return `Ok`/`Err`, never panic, and a
-/// mutated frame body must never pass the checksum silently.
+/// frames through `read_frame_into` must return `Ok`/`Err`, never panic,
+/// and a mutated frame body must never pass the checksum silently.
 #[test]
 fn frame_reader_is_total_and_checksummed_under_fuzz() {
-    use fda::net::frame::{encode_frame, read_frame};
+    use fda::net::frame::encode_frame;
     let mut rng = Rng::new(0xE1_0000);
+    let mut buf = Vec::new();
     // Pure byte soup.
     for _ in 0..4 * CASES {
         let len = (rng.next_u64() % 80) as usize;
-        let buf: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-        let _ = read_frame(&mut std::io::Cursor::new(buf));
+        let soup: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
+        let _ = read_frame_of(&soup, &mut buf);
     }
     // Single-byte mutations of valid frames: any flip past the length
     // field must be rejected (checksum); flips inside the length field
@@ -593,11 +616,11 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
         let i = (inner.next_u64() as usize) % frame.len();
         let mut corrupt = frame.clone();
         corrupt[i] ^= 1 << (inner.next_u64() % 8);
-        match read_frame(&mut std::io::Cursor::new(&corrupt)) {
+        match read_frame_of(&corrupt, &mut buf) {
             Err(_) => {}
-            Ok((k, _, p)) => {
+            Ok((k, _)) => {
                 assert!(
-                    i < 4 && !(k == kind && p == payload),
+                    i < 4 && !(k == kind && buf[1..] == payload[..]),
                     "case {case}: flipped byte {i} decoded to the original frame"
                 );
             }
@@ -614,7 +637,7 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
         spliced.push(unknown);
         spliced.extend_from_slice(&payload);
         assert!(
-            read_frame(&mut std::io::Cursor::new(&spliced)).is_err(),
+            read_frame_of(&spliced, &mut buf).is_err(),
             "case {case}: unknown kind {unknown} decoded"
         );
     }
@@ -625,7 +648,13 @@ fn frame_reader_is_total_and_checksummed_under_fuzz() {
 /// intact, and future-epoch frames are protocol violations.
 #[test]
 fn spliced_stale_epoch_frames_are_rejected() {
-    use fda::net::{recv_at_epoch, Msg, NetError, MAX_STALE_FRAMES};
+    use fda::net::frame::write_frame;
+    use fda::net::{recv_frame_at_epoch_into, Msg, MAX_STALE_FRAMES};
+    let mut buf = Vec::new();
+    let mut recv = |stream: &[u8], epoch: u32| {
+        recv_frame_at_epoch_into(&mut std::io::Cursor::new(stream), epoch, &mut buf)
+            .map(|kind| (kind, buf[1..].to_vec()))
+    };
     for case in 0..CASES {
         let mut rng = Rng::new(0xF1_0000 + case);
         let current = 2 + (rng.next_u64() % 1000) as u32;
@@ -634,30 +663,29 @@ fn spliced_stale_epoch_frames_are_rejected() {
         // A zombie's leftovers: deposits stamped with earlier epochs.
         for _ in 0..stale_count {
             let stale_epoch = rng.next_u64() as u32 % current;
-            Msg::State(random_state(&mut rng))
-                .send(&mut stream, stale_epoch)
+            let deposit = state_bytes(&random_state(&mut rng), &Dense32);
+            write_frame(&mut stream, stale_epoch, FrameKind::State, &deposit)
                 .expect("encode stale");
         }
         let live = vec![1.5f32, -2.5, 3.5];
-        Msg::Model(live.clone())
-            .send(&mut stream, current)
-            .expect("encode live");
-        match recv_at_epoch(&mut std::io::Cursor::new(&stream), current) {
-            Ok(Msg::Model(v)) => assert_eq!(v, live, "case {case}: live frame mangled"),
+        let upload = vector_bytes(&live, &Dense32);
+        write_frame(&mut stream, current, FrameKind::Model, &upload).expect("encode live");
+        match recv(&stream, current) {
+            Ok((FrameKind::Model, payload)) => assert_eq!(
+                wire::decode_vector_coded(&payload, live.len(), &Dense32),
+                Ok(live.clone()),
+                "case {case}: live frame mangled"
+            ),
             other => panic!("case {case}: expected the live model, got {other:?}"),
         }
 
         // A future epoch is a protocol violation — only the coordinator
         // advances the epoch.
         let mut stream: Vec<u8> = Vec::new();
-        Msg::Model(live.clone())
-            .send(&mut stream, current + 1 + rng.next_u64() as u32 % 50)
-            .expect("encode future");
+        let future = current + 1 + rng.next_u64() as u32 % 50;
+        write_frame(&mut stream, future, FrameKind::Model, &upload).expect("encode future");
         assert!(
-            matches!(
-                recv_at_epoch(&mut std::io::Cursor::new(&stream), current),
-                Err(NetError::Protocol(_))
-            ),
+            matches!(recv(&stream, current), Err(NetError::Protocol(_))),
             "case {case}: future epoch accepted"
         );
     }
@@ -668,10 +696,7 @@ fn spliced_stale_epoch_frames_are_rejected() {
     }
     Msg::Shutdown.send(&mut stream, 5).expect("encode");
     assert!(
-        matches!(
-            recv_at_epoch(&mut std::io::Cursor::new(&stream), 5),
-            Err(NetError::Protocol(_))
-        ),
+        matches!(recv(&stream, 5), Err(NetError::Protocol(_))),
         "a stale flood must not be skipped forever"
     );
 }
@@ -991,11 +1016,11 @@ fn coded_wire_frames_roundtrip_and_are_total() {
         rng.fill_uniform(&mut v, -3.0, 3.0);
         for codec in random_codecs(&mut rng) {
             let name = codec.name();
-            let sbytes = wire::encode_state_coded(&state, codec.as_ref());
+            let sbytes = state_bytes(&state, codec.as_ref());
             let sback = wire::decode_state_coded(&sbytes, &state, codec.as_ref())
                 .unwrap_or_else(|e| panic!("case {case} {name}: state decode: {e}"));
             assert_eq!(
-                wire::encode_state_coded(&sback, codec.as_ref()),
+                state_bytes(&sback, codec.as_ref()),
                 sbytes,
                 "case {case} {name}: coded state re-encode not byte-identical"
             );
@@ -1014,17 +1039,17 @@ fn coded_wire_frames_roundtrip_and_are_total() {
                         panic!("case {case} {name}: state cut at {cut} decoded")
                     }
                     Ok(got) => assert_eq!(
-                        wire::encode_state_coded(&got, codec.as_ref()),
+                        state_bytes(&got, codec.as_ref()),
                         sbytes[..cut].to_vec(),
                         "case {case} {name}: state cut at {cut} decoded non-canonically"
                     ),
                 }
             }
-            let vbytes = wire::encode_vector_coded(&v, codec.as_ref());
+            let vbytes = vector_bytes(&v, codec.as_ref());
             let vback = wire::decode_vector_coded(&vbytes, v.len(), codec.as_ref())
                 .unwrap_or_else(|e| panic!("case {case} {name}: vector decode: {e}"));
             assert_eq!(
-                wire::encode_vector_coded(&vback, codec.as_ref()),
+                vector_bytes(&vback, codec.as_ref()),
                 vbytes,
                 "case {case} {name}: coded vector re-encode not byte-identical"
             );
@@ -1035,7 +1060,7 @@ fn coded_wire_frames_roundtrip_and_are_total() {
                         panic!("case {case} {name}: vector cut at {cut} decoded")
                     }
                     Ok(got) => assert_eq!(
-                        wire::encode_vector_coded(&got, codec.as_ref()),
+                        vector_bytes(&got, codec.as_ref()),
                         vbytes[..cut].to_vec(),
                         "case {case} {name}: vector cut at {cut} decoded non-canonically"
                     ),
