@@ -7,8 +7,10 @@
 //!   (LeNet-scale and VGG16-scale), with per-shape GF/s and the dispatched
 //!   SIMD kernel arm recorded under `kernel_dispatch`,
 //! * `conv_layer_us`: per-layer Conv2d forward/backward wall time at
-//!   training batch size on the channel-major layout (comparable across
-//!   PRs — the layout refactor is judged on these),
+//!   training batch size on the channel-major layout, as p10/median/p90
+//!   over `CONV_REPS` reps; the backward runs with the input gradient
+//!   (`full`) and, for the first LeNet conv, as a model's first trained
+//!   layer runs it (`params_only`, no input gradient),
 //! * end-to-end cluster `local_step` throughput (steps/sec) for the LeNet
 //!   and VGG16 zoo models, sequential and pooled-parallel,
 //! * `step_phases`: the full `Fda::step` split into local-step / monitor /
@@ -125,41 +127,91 @@ fn bench_gemm(tag: &'static str, m: usize, k: usize, n: usize) -> GemmResult {
     }
 }
 
+/// Repetitions behind each `conv_layer_us` spread.
+const CONV_REPS: usize = 9;
+
+/// p10 / median / p90 of a timing distribution, in microseconds.
+struct Spread {
+    p10: f64,
+    median: f64,
+    p90: f64,
+}
+
+impl Spread {
+    fn json(&self) -> String {
+        format!(
+            "{{\"p10\": {:.1}, \"median\": {:.1}, \"p90\": {:.1}}}",
+            self.p10, self.median, self.p90
+        )
+    }
+}
+
+/// The spread of `f`'s wall time over `reps` reps after one warm-up call,
+/// each rep averaging `iters` calls.
+fn time_spread<F: FnMut()>(reps: usize, iters: u32, mut f: F) -> Spread {
+    f();
+    let us: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t.elapsed().as_secs_f64() * 1e6 / iters as f64
+        })
+        .collect();
+    let q = |p| fda_tensor::stats::quantile(&us, p);
+    Spread {
+        p10: q(0.1),
+        median: q(0.5),
+        p90: q(0.9),
+    }
+}
+
 struct ConvLayerResult {
     tag: &'static str,
     batch: usize,
-    forward: Duration,
-    backward: Duration,
+    /// `"full"` (input gradient included) or `"params_only"`
+    /// (`Layer::backward_params`, a model's first trained layer).
+    backward_kind: &'static str,
+    forward: Spread,
+    backward: Spread,
 }
 
 /// Per-layer conv forward/backward wall time at training batch size, on
 /// channel-major activations (input handed by value, clone included — the
 /// same protocol as the pre-layout-refactor baseline, so the numbers are
-/// directly comparable across PRs).
+/// directly comparable across PRs). `params_only` times the backward a
+/// model's first trained layer runs.
 fn bench_conv_layer(
     tag: &'static str,
     in_shape: Shape3,
     out_c: usize,
     batch: usize,
     iters: u32,
+    params_only: bool,
 ) -> ConvLayerResult {
     let mut rng = Rng::new(7);
     let mut conv = Conv2d::new(in_shape, out_c, 3, 1, Init::HeNormal, &mut rng);
     let mut x = Matrix::zeros(in_shape.c, batch * in_shape.spatial());
     Rng::new(9).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-    let forward = best_time(5, iters, || {
+    let forward = time_spread(CONV_REPS, iters, || {
         let _ = conv.forward(x.clone(), true);
     });
     let out = conv.out_shape();
     let mut dy = Matrix::zeros(out.c, batch * out.spatial());
     Rng::new(11).fill_normal(dy.as_mut_slice(), 0.0, 1.0);
     let _ = conv.forward(x.clone(), true);
-    let backward = best_time(5, iters, || {
-        let _ = conv.backward(dy.clone());
+    let backward = time_spread(CONV_REPS, iters, || {
+        if params_only {
+            conv.backward_params(dy.clone());
+        } else {
+            let _ = conv.backward(dy.clone());
+        }
     });
     ConvLayerResult {
         tag,
         batch,
+        backward_kind: if params_only { "params_only" } else { "full" },
         forward,
         backward,
     }
@@ -598,10 +650,14 @@ fn main() {
     }
     let conv_iters = if smoke { 20 } else { 200 };
     // The LeNet conv stack plus a VGG16*-scale layer, at training batch 32.
+    let conv = |tag, in_shape, out_c, params_only| {
+        bench_conv_layer(tag, in_shape, out_c, 32, conv_iters, params_only)
+    };
     let conv_layers = [
-        bench_conv_layer("lenet_conv1", Shape3::new(1, 12, 12), 6, 32, conv_iters),
-        bench_conv_layer("lenet_conv2", Shape3::new(6, 6, 6), 12, 32, conv_iters),
-        bench_conv_layer("vgg_conv2b", Shape3::new(16, 6, 6), 16, 32, conv_iters),
+        conv("lenet_conv1", Shape3::new(1, 12, 12), 6, false),
+        conv("lenet_conv1", Shape3::new(1, 12, 12), 6, true),
+        conv("lenet_conv2", Shape3::new(6, 6, 6), 12, false),
+        conv("vgg_conv2b", Shape3::new(16, 6, 6), 16, false),
     ];
     let steps = [
         bench_steps(ModelId::Lenet5, "lenet5"),
@@ -662,11 +718,12 @@ fn main() {
         let sep = if i + 1 < conv_layers.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"layer\": \"{}\", \"batch\": {}, \"forward_us\": {:.1}, \"backward_us\": {:.1}}}{sep}",
+            "    {{\"layer\": \"{}\", \"batch\": {}, \"backward_kind\": \"{}\", \"reps\": {CONV_REPS}, \"forward_us\": {}, \"backward_us\": {}}}{sep}",
             c.tag,
             c.batch,
-            c.forward.as_secs_f64() * 1e6,
-            c.backward.as_secs_f64() * 1e6,
+            c.backward_kind,
+            c.forward.json(),
+            c.backward.json(),
         );
     }
     json.push_str("  ],\n  \"local_step_k4\": [\n");

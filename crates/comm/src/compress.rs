@@ -87,6 +87,17 @@ pub trait Codec: Send + Sync {
     /// expected vector length), never taken from the untrusted buffer.
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError>;
 
+    /// Decodes a payload into `out`, whose length is the expected element
+    /// count — the allocation-free variant of [`Codec::decode`] for
+    /// caller-owned buffers, accepting and rejecting exactly the buffers
+    /// `decode(buf, out.len())` does and writing the same values. On error
+    /// `out` may be partly overwritten. Codecs whose hot path matters
+    /// override the default (which still allocates an intermediate).
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        out.copy_from_slice(&self.decode(buf, out.len())?);
+        Ok(())
+    }
+
     /// Exact encoded size in bytes for this input — equal to
     /// `encode(v).len()` (the property suite asserts it). Codecs with a
     /// closed form override this to skip the encode.
@@ -132,25 +143,37 @@ impl Codec for Dense32 {
     }
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-        let want = n
-            .checked_mul(4)
-            .ok_or(CodecError::Malformed("length overflow"))?;
-        if buf.len() < want {
-            return Err(CodecError::Truncated);
-        }
-        if buf.len() > want {
-            return Err(CodecError::Malformed("trailing bytes after dense run"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for c in buf.chunks_exact(4) {
-            out.push(f32::from_le_bytes(c.try_into().expect("len 4")));
-        }
+        dense_len_check(buf, n)?;
+        let mut out = vec![0.0; n];
+        self.decode_into(buf, &mut out)?;
         Ok(out)
+    }
+
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        dense_len_check(buf, out.len())?;
+        for (o, c) in out.iter_mut().zip(buf.chunks_exact(4)) {
+            *o = f32::from_le_bytes(c.try_into().expect("len 4"));
+        }
+        Ok(())
     }
 
     fn encoded_bytes(&self, v: &[f32]) -> u64 {
         v.len() as u64 * 4
     }
+}
+
+/// Checks that `buf` is exactly a run of `n` little-endian `f32`s.
+fn dense_len_check(buf: &[u8], n: usize) -> Result<(), CodecError> {
+    let want = n
+        .checked_mul(4)
+        .ok_or(CodecError::Malformed("length overflow"))?;
+    if buf.len() < want {
+        return Err(CodecError::Truncated);
+    }
+    if buf.len() > want {
+        return Err(CodecError::Malformed("trailing bytes after dense run"));
+    }
+    Ok(())
 }
 
 /// The `lo` sentinel marking a raw (escaped) chunk: a canonical quiet
@@ -274,7 +297,13 @@ impl Codec for Uniform8Bit {
     }
 
     fn encode(&self, v: &[f32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(v.len() + v.len().div_ceil(self.chunk) * 8);
+        let mut out = Vec::new();
+        self.encode_into(v, &mut out);
+        out
+    }
+
+    fn encode_into(&self, v: &[f32], out: &mut Vec<u8>) {
+        out.reserve(v.len() + v.len().div_ceil(self.chunk) * 8);
         for chunk in v.chunks(self.chunk) {
             match Uniform8Bit::plan(chunk) {
                 ChunkPlan::Quantized { lo, hi, scale } => {
@@ -293,7 +322,6 @@ impl Codec for Uniform8Bit {
                 }
             }
         }
-        out
     }
 
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
@@ -306,10 +334,15 @@ impl Codec for Uniform8Bit {
         if buf.len() < floor {
             return Err(CodecError::Truncated);
         }
-        let mut out = Vec::with_capacity(n);
+        let mut out = vec![0.0; n];
+        self.decode_into(buf, &mut out)?;
+        Ok(out)
+    }
+
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
         let mut off = 0usize;
-        while out.len() < n {
-            let len = self.chunk.min(n - out.len());
+        for dst in out.chunks_mut(self.chunk) {
+            let len = dst.len();
             if buf.len() - off < 8 {
                 return Err(CodecError::Truncated);
             }
@@ -322,8 +355,8 @@ impl Codec for Uniform8Bit {
                 if buf.len() - off < want {
                     return Err(CodecError::Truncated);
                 }
-                for c in buf[off..off + want].chunks_exact(4) {
-                    out.push(f32::from_le_bytes(c.try_into().expect("len 4")));
+                for (o, c) in dst.iter_mut().zip(buf[off..off + want].chunks_exact(4)) {
+                    *o = f32::from_le_bytes(c.try_into().expect("len 4"));
                 }
                 off += want;
             } else {
@@ -334,8 +367,8 @@ impl Codec for Uniform8Bit {
                     return Err(CodecError::Truncated);
                 }
                 let scale = (hi - lo) / 255.0;
-                for &q in &buf[off..off + len] {
-                    out.push(Uniform8Bit::level(lo, hi, scale, q));
+                for (o, &q) in dst.iter_mut().zip(&buf[off..off + len]) {
+                    *o = Uniform8Bit::level(lo, hi, scale, q);
                 }
                 off += len;
             }
@@ -345,7 +378,7 @@ impl Codec for Uniform8Bit {
                 "trailing bytes after quantizer chunks",
             ));
         }
-        Ok(out)
+        Ok(())
     }
 
     fn encoded_bytes(&self, v: &[f32]) -> u64 {
@@ -575,6 +608,12 @@ impl Codec for Instrumented {
         let _span = fda_obs::histogram!("codec_decode_us").span();
         fda_obs::counter!("codec_decoded_bytes").add(buf.len() as u64);
         self.0.decode(buf, n)
+    }
+
+    fn decode_into(&self, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+        let _span = fda_obs::histogram!("codec_decode_us").span();
+        fda_obs::counter!("codec_decoded_bytes").add(buf.len() as u64);
+        self.0.decode_into(buf, out)
     }
 
     fn encoded_bytes(&self, v: &[f32]) -> u64 {

@@ -123,6 +123,8 @@ pub struct Fda {
     bufs: Vec<Vec<f32>>,
     /// Per-worker local states, constructed in place each step.
     states: Vec<LocalState>,
+    /// Per-worker uplink encode scratch, reused across steps.
+    enc: Vec<Vec<u8>>,
     /// Per-worker payload bytes of the latest deposit or upload.
     bytes: Vec<u64>,
     /// Per-round JSONL telemetry attached via [`Strategy::set_telemetry`]
@@ -149,6 +151,7 @@ impl Fda {
             variant_name: monitor.name(),
             states: (0..k).map(|_| monitor.local_state(&zeros)).collect(),
             bufs: vec![zeros; k],
+            enc: vec![Vec::new(); k],
             bytes: vec![0; k],
             engine: RoundEngine::new(monitor, theta, cluster.worker(0).params()),
             cluster,
@@ -209,32 +212,37 @@ impl Fda {
     /// scratch, then either its local state (Algorithm 1 line 6: the drift
     /// `w^(k) − w_t0` summarized by the monitor) with the summary
     /// roundtripped through the uplink codec, or — for `models` — the
-    /// parameters themselves roundtripped. Buffers are lane-private and
-    /// reused across steps; both modes run identical per-worker arithmetic.
+    /// parameters themselves roundtripped. Buffers, encode scratch
+    /// included, are lane-private and reused across steps, so with the
+    /// dense and uniform-8bit codecs an uplink allocates nothing; both
+    /// modes run identical per-worker arithmetic.
     fn uplink(&mut self, models: bool) {
         let engine = &self.engine;
         let (pool, workers, _) = self.cluster.parts();
         let wptr = SendPtr(workers.as_mut_ptr());
         let dptr = SendPtr(self.bufs.as_mut_ptr());
         let sptr = SendPtr(self.states.as_mut_ptr());
+        let eptr = SendPtr(self.enc.as_mut_ptr());
         let bptr = SendPtr(self.bytes.as_mut_ptr());
         run_lanes(pool, workers.len(), &|lane| {
-            // SAFETY: lane-private worker, buffer, state and byte slot.
-            let (w, buf, state, bytes) = unsafe {
+            // SAFETY: lane-private worker, buffer, state, encode scratch
+            // and byte slot.
+            let (w, buf, state, enc, bytes) = unsafe {
                 (
                     &*wptr.get().add(lane),
                     &mut *dptr.get().add(lane),
                     &mut *sptr.get().add(lane),
+                    &mut *eptr.get().add(lane),
                     &mut *bptr.get().add(lane),
                 )
             };
             w.model().copy_params_to(buf);
             *bytes = if models {
-                upload(engine.codec(), buf)
+                upload(engine.codec(), buf, enc)
             } else {
                 vector::sub_assign(buf, engine.consensus());
                 engine.monitor().local_state_into(buf, state);
-                4 + upload(engine.codec(), state.summary_slice_mut())
+                4 + upload(engine.codec(), state.summary_slice_mut(), enc)
             };
         });
     }

@@ -60,16 +60,19 @@ pub fn apply_downlink(
 
 /// One coded upload in memory, as the simulator deposits it: replaces `v`
 /// with the reconstruction a receiver decodes, `decode(encode(v))`, and
-/// returns the encoded size the wire would carry.
+/// returns the encoded size the wire would carry. `enc` is the caller's
+/// encode scratch, reused across calls, so a codec that overrides
+/// [`Codec::encode_into`] and [`Codec::decode_into`] uploads without
+/// allocating once `enc` has grown to the payload size.
 ///
 /// # Panics
 /// Panics only if the codec fails to decode its own encoding.
-pub fn upload(codec: &dyn Codec, v: &mut [f32]) -> u64 {
-    let enc = codec.encode(v);
-    let dec = codec
-        .decode(&enc, v.len())
+pub fn upload(codec: &dyn Codec, v: &mut [f32], enc: &mut Vec<u8>) -> u64 {
+    enc.clear();
+    codec.encode_into(v, enc);
+    codec
+        .decode_into(enc, v)
         .expect("codec decodes its own encoding");
-    v.copy_from_slice(&dec);
     enc.len() as u64
 }
 
@@ -395,9 +398,10 @@ mod tests {
     /// Roundtrips each state's summary through `codec` in memory, as the
     /// simulator does, returning the per-worker payload bytes.
     fn deposit(states: &mut [LocalState], codec: &dyn Codec) -> Vec<u64> {
+        let mut enc = Vec::new();
         states
             .iter_mut()
-            .map(|s| 4 + upload(codec, s.summary_slice_mut()))
+            .map(|s| 4 + upload(codec, s.summary_slice_mut(), &mut enc))
             .collect()
     }
 

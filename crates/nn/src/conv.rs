@@ -18,6 +18,25 @@
 //! `out_c × batch·spatial` staging buffers on every forward *and* backward
 //! of every conv layer.)
 //!
+//! The lowering runs in **batch-wide masked spans**. The exact copy-run
+//! plan (`build_copy_plan`: which input positions feed which `cols`
+//! positions, padding clipped) is fixed at construction; the executed
+//! lowering merges a row's runs wherever the gap between two runs is the
+//! same on the input side and the `cols` side, across the samples of the
+//! batch too. A plane-preserving conv (`k = 2·pad + 1`, every zoo conv)
+//! therefore lowers each `cols` row with **one** contiguous copy for the
+//! whole batch instead of one short copy per output row per sample. The
+//! gap positions inside a span are padded positions; a per-row pad mask,
+//! applied in the same pass as a bitwise AND, writes them as exactly
+//! `+0.0`. col2im is the adjoint: masked contiguous adds in the same row
+//! order, where a masked position adds `+0.0` to an accumulator that
+//! started at `+0.0` and so never changes its bits. Other geometries run
+//! the same code and simply merge less.
+//!
+//! As a model's first trained layer (see [`Layer`]) the conv runs
+//! [`Layer::backward_params`]: the weight and bias gradients only, with no
+//! `Wᵀ · dy` GEMM, no col2im and no `dcol` buffer.
+//!
 //! All lowering buffers (`cols`, `dcol`, and the GEMM packing [`Scratch`])
 //! are keyed on **capacity**: they grow to the largest batch seen and are
 //! thereafter reshaped in place, so steady-state training performs no
@@ -38,33 +57,40 @@ pub struct Conv2d {
     in_shape: Shape3,
     out_shape: Shape3,
     k: usize,
+    pad: usize,
     /// Weights as `out_c × (in_c·k·k)`.
     w: Matrix,
     b: Vec<f32>,
     dw: Matrix,
     db: Vec<f32>,
     /// Batched column matrix from the last forward
-    /// (`in_c·k·k × batch·spatial`); padded positions are zeroed once at
-    /// allocation and never dirtied, valid positions are overwritten each
-    /// step.
+    /// (`in_c·k·k × batch·spatial`). Every entry inside a span is
+    /// rewritten by each lowering (input bits at valid positions, `+0.0`
+    /// at padded ones); entries outside every span are padded positions,
+    /// zeroed when the buffer is shaped and never written.
     cols: Matrix,
     /// Batch size the lowering buffers were built for (0 = not yet built).
     cols_batch: usize,
     /// Column-gradient buffer (`in_c·k·k × batch·spatial`), sized lazily on
-    /// first backward so inference-only use never pays for it.
+    /// first input-gradient backward so inference-only use, and a model's
+    /// first trained layer, never pay for it.
     dcol: Matrix,
     /// GEMM packing arena, reused across steps.
     scratch: Scratch,
-    /// Precomputed im2col copy runs (see [`build_copy_plan`]).
-    plan: Vec<CopyRun>,
+    /// The copy plan merged within one sample (see [`push_merged`]).
+    sample_spans: Vec<CopyRun>,
+    /// `sample_spans` replicated over the `cols_batch` samples and merged
+    /// across sample boundaries: the executed lowering.
+    spans: Vec<CopyRun>,
+    /// The pad mask every span is applied through.
+    mask: PadMask,
 }
 
-/// One contiguous copy between a channel plane of the input and a
+/// One contiguous copy between a channel row of the input and a
 /// column-matrix row:
-/// `cols[row][col_off + dst ..+len] ↔ x[src_row][blk_off + src ..+len]`,
-/// where `col_off`/`blk_off` select the sample's column block in the
-/// respective channel-major matrix and `src` is relative to the sample's
-/// `h·w` plane.
+/// `cols[row][dst ..+len] ↔ x[src_row][src ..+len]`. In the plan, `dst`
+/// and `src` are relative to one sample's output block and input plane;
+/// in the executed spans they are absolute batch columns.
 #[derive(Debug, Clone, Copy)]
 struct CopyRun {
     row: u32,
@@ -74,12 +100,11 @@ struct CopyRun {
     len: u32,
 }
 
-/// Precomputes the im2col copy runs for a fixed geometry: all the padding
-/// clipping and index arithmetic happens once at layer construction, and
-/// adjacent runs that are contiguous on both sides (e.g. the unclipped
-/// centre kernel column) are coalesced into single long copies. The same
-/// plan drives the forward gather and (as its exact adjoint) the backward
-/// scatter.
+/// Precomputes the exact im2col copy runs for a fixed geometry: all the
+/// padding clipping and index arithmetic happens once at layer
+/// construction, and adjacent runs that are contiguous on both sides (e.g.
+/// the unclipped centre kernel column) are coalesced. Every position a run
+/// covers is in bounds; the executed spans are derived from this plan.
 fn build_copy_plan(in_shape: Shape3, out_shape: Shape3, k: usize, pad: usize) -> Vec<CopyRun> {
     let Shape3 { c, h, w } = in_shape;
     let (oh, ow) = (out_shape.h, out_shape.w);
@@ -125,43 +150,136 @@ fn build_copy_plan(in_shape: Shape3, out_shape: Shape3, k: usize, pad: usize) ->
     plan
 }
 
-/// Lowers one sample's planes from a channel-major batch into the shared
-/// column matrix at column offset `col_off` (the sample's `spatial`-wide
-/// block); `blk_off` is the sample's block offset in the input
-/// (`sample · in_spatial`). Only in-bounds input positions are written:
-/// padded positions stay at their initial zero, which is why the buffer
-/// never needs re-clearing.
-fn im2col_into(plan: &[CopyRun], x: &Matrix, blk_off: usize, cols: &mut Matrix, col_off: usize) {
-    let ncols = cols.cols();
-    let x_ncols = x.cols();
-    let x_data = x.as_slice();
-    let data = cols.as_mut_slice();
-    for run in plan {
-        let dst = run.row as usize * ncols + col_off + run.dst as usize;
-        let src = run.src_row as usize * x_ncols + blk_off + run.src as usize;
-        let len = run.len as usize;
-        data[dst..dst + len].copy_from_slice(&x_data[src..src + len]);
+/// Appends `run` to `spans`, extending the last span instead when both lie
+/// in the same row and the gap between them is equal on the `cols` side
+/// and the input side (`run.dst − last.dst == run.src − last.src`). The
+/// merged span copies the gap too; those positions are padded ones, which
+/// the pad mask zeroes.
+fn push_merged(spans: &mut Vec<CopyRun>, run: CopyRun) {
+    match spans.last_mut() {
+        Some(last)
+            if last.row == run.row
+                && i64::from(run.dst) - i64::from(last.dst)
+                    == i64::from(run.src) - i64::from(last.src) =>
+        {
+            last.len = run.dst + run.len - last.dst;
+        }
+        _ => spans.push(run),
     }
 }
 
-/// Scatter-accumulates one sample's column-gradient block (at column offset
-/// `col_off`) back into a channel-major input gradient — the adjoint of
-/// [`im2col_into`].
-fn col2im_from(plan: &[CopyRun], dcol: &Matrix, col_off: usize, dx: &mut Matrix, blk_off: usize) {
-    let ncols = dcol.cols();
-    let dx_ncols = dx.cols();
-    let data = dcol.as_slice();
-    let dst_data = dx.as_mut_slice();
-    for run in plan {
-        let src = run.row as usize * ncols + col_off + run.dst as usize;
-        let dst = run.src_row as usize * dx_ncols + blk_off + run.src as usize;
-        let len = run.len as usize;
-        for (d, s) in dst_data[dst..dst + len]
-            .iter_mut()
-            .zip(&data[src..src + len])
-        {
-            *d += s;
+/// Writes into `spans` the executed lowering for `batch` samples: each
+/// row's per-sample spans, shifted to every sample's column block and
+/// merged across sample boundaries where the gaps allow.
+fn build_spans(
+    sample_spans: &[CopyRun],
+    batch: usize,
+    (in_spatial, spatial): (usize, usize),
+    spans: &mut Vec<CopyRun>,
+) {
+    let offset = |s: usize, width: usize| {
+        u32::try_from(s * width).expect("conv: batch too large for u32 span offsets")
+    };
+    spans.clear();
+    for row in sample_spans.chunk_by(|a, b| a.row == b.row) {
+        for s in 0..batch {
+            for run in row {
+                let dst = run.dst + offset(s, spatial);
+                let src = run.src + offset(s, in_spatial);
+                push_merged(spans, CopyRun { dst, src, ..*run });
+            }
         }
+    }
+}
+
+/// Calls `f(off, phase, n)` for each piece of a span that starts at batch
+/// column `start`, runs `len` columns and may cross sample blocks of width
+/// `period`: piece `[off, off + n)` of the span lies in one sample block,
+/// at offset `phase` within it.
+fn for_each_piece(start: usize, len: usize, period: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let (mut off, mut phase) = (0, start % period);
+    while off < len {
+        let n = (period - phase).min(len - off);
+        f(off, phase, n);
+        off += n;
+        phase = 0;
+    }
+}
+
+/// Pad mask per kernel position `ky·k + kx` over one sample's output
+/// plane: all ones where the row reads an in-bounds input position, zero
+/// where it reads padding. A row's pad pattern depends only on its kernel
+/// position, so channel 0's plan runs define it.
+struct PadMask {
+    bits: Vec<u32>,
+    kk: usize,
+    spatial: usize,
+}
+
+impl PadMask {
+    fn from_plan(plan: &[CopyRun], k: usize, spatial: usize) -> PadMask {
+        let mut bits = vec![0u32; k * k * spatial];
+        for run in plan.iter().filter(|r| r.src_row == 0) {
+            let at = run.row as usize * spatial + run.dst as usize;
+            bits[at..at + run.len as usize].fill(!0);
+        }
+        PadMask {
+            bits,
+            kk: k * k,
+            spatial,
+        }
+    }
+
+    /// The mask of `cols` row `row` over one sample's output plane.
+    fn row(&self, row: u32) -> &[u32] {
+        let at = row as usize % self.kk * self.spatial;
+        &self.bits[at..at + self.spatial]
+    }
+}
+
+/// Lowers a channel-major batch into `cols` along `spans`: one masked
+/// contiguous copy per span, so padded positions read as exactly `+0.0`.
+fn im2col(spans: &[CopyRun], mask: &PadMask, x: &Matrix, cols: &mut Matrix) {
+    let (ncols, x_ncols) = (cols.cols(), x.cols());
+    let (x_data, data) = (x.as_slice(), cols.as_mut_slice());
+    for span in spans {
+        let (len, start) = (span.len as usize, span.dst as usize);
+        let dst = &mut data[span.row as usize * ncols + start..][..len];
+        let src = &x_data[span.src_row as usize * x_ncols + span.src as usize..][..len];
+        let row_mask = mask.row(span.row);
+        for_each_piece(start, len, mask.spatial, |off, phase, n| {
+            for ((d, s), m) in dst[off..off + n]
+                .iter_mut()
+                .zip(&src[off..off + n])
+                .zip(&row_mask[phase..phase + n])
+            {
+                *d = f32::from_bits(s.to_bits() & m);
+            }
+        });
+    }
+}
+
+/// Scatter-accumulates a column-matrix gradient back into a channel-major
+/// input gradient along `spans` — the adjoint of [`im2col`]: masked
+/// contiguous adds in row order. A masked position adds `+0.0`, which
+/// leaves an accumulator that started at `+0.0` bit-for-bit unchanged.
+fn col2im(spans: &[CopyRun], mask: &PadMask, dcol: &Matrix, dx: &mut Matrix) {
+    let (ncols, dx_ncols) = (dcol.cols(), dx.cols());
+    let (data, dx_data) = (dcol.as_slice(), dx.as_mut_slice());
+    for span in spans {
+        let (len, start) = (span.len as usize, span.dst as usize);
+        let src = &data[span.row as usize * ncols + start..][..len];
+        let dst = &mut dx_data[span.src_row as usize * dx_ncols + span.src as usize..][..len];
+        let row_mask = mask.row(span.row);
+        for_each_piece(start, len, mask.spatial, |off, phase, n| {
+            for ((d, s), m) in dst[off..off + n]
+                .iter_mut()
+                .zip(&src[off..off + n])
+                .zip(&row_mask[phase..phase + n])
+            {
+                *d += f32::from_bits(s.to_bits() & m);
+            }
+        });
     }
 }
 
@@ -194,10 +312,16 @@ impl Conv2d {
         init.fill(w.as_mut_slice(), fan_in, fan_out, rng);
         let out_shape = Shape3::new(out_c, out_h, out_w);
         let plan = build_copy_plan(in_shape, out_shape, k, pad);
+        let mask = PadMask::from_plan(&plan, k, out_shape.spatial());
+        let mut sample_spans = Vec::new();
+        for &run in &plan {
+            push_merged(&mut sample_spans, run);
+        }
         Conv2d {
             in_shape,
             out_shape,
             k,
+            pad,
             w,
             b: vec![0.0; out_c],
             dw: Matrix::zeros(out_c, fan_in),
@@ -206,7 +330,9 @@ impl Conv2d {
             cols_batch: 0,
             dcol: Matrix::zeros(0, 0),
             scratch: Scratch::new(),
-            plan,
+            sample_spans,
+            spans: Vec::new(),
+            mask,
         }
     }
 
@@ -220,25 +346,26 @@ impl Conv2d {
         self.out_shape
     }
 
-    /// (Re)shapes the `cols` lowering buffer for `batch` samples. A no-op
-    /// when the batch size is unchanged — the common training case. Scratch
-    /// is keyed on **capacity**, not exact shape: a batch-size change
-    /// reshapes in place ([`Matrix::resize_zeroed`]) and only grows the
-    /// allocation past its high-water mark, so the ragged final eval chunk
-    /// — which used to reallocate all lowering buffers twice per
-    /// evaluation pass — costs a memset. The backward-only `dcol` buffer is
-    /// sized lazily in [`Conv2d::ensure_backward_buffers`] so
-    /// inference-only use (e.g. the harness eval model) never pays for it.
+    /// (Re)shapes the `cols` lowering buffer and the executed spans for
+    /// `batch` samples. A no-op when the batch size is unchanged — the
+    /// common training case. Scratch is keyed on **capacity**, not exact
+    /// shape: a batch-size change reshapes in place
+    /// ([`Matrix::resize_zeroed`]) and only grows the allocation past its
+    /// high-water mark, so the ragged final eval chunk costs a memset. The
+    /// backward-only `dcol` buffer is sized lazily in
+    /// [`Conv2d::ensure_backward_buffers`].
     fn ensure_buffers(&mut self, batch: usize) {
         if self.cols_batch == batch {
             return;
         }
         let fan_in = self.in_shape.c * self.k * self.k;
         let n = batch * self.out_shape.spatial();
-        // The re-zero keeps the padded-positions-stay-zero invariant that
-        // the im2col gather relies on.
+        // The re-zero establishes the zeros outside every span, which no
+        // lowering writes.
         self.cols.resize_zeroed(fan_in, n);
         self.dcol.resize_zeroed(0, 0);
+        let spatials = (self.in_shape.spatial(), self.out_shape.spatial());
+        build_spans(&self.sample_spans, batch, spatials, &mut self.spans);
         self.cols_batch = batch;
     }
 
@@ -252,18 +379,37 @@ impl Conv2d {
         }
     }
 
-    /// Lowers a channel-major batch into `self.cols`.
-    fn lower(&mut self, x: &Matrix, batch: usize) {
-        let (in_spatial, spatial) = (self.in_shape.spatial(), self.out_shape.spatial());
-        for s in 0..batch {
-            im2col_into(&self.plan, x, s * in_spatial, &mut self.cols, s * spatial);
+    /// `dW += dy · colsᵀ` and `db +=` row sums of `dy`: the parameter half
+    /// of the backward pass, the one place both
+    /// [`Layer::backward`] and [`Layer::backward_params`] compute it.
+    fn accumulate_param_grads(&mut self, dy: &Matrix) {
+        let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
+        assert_eq!(
+            dy.rows(),
+            oc,
+            "conv: grad not channel-major for {:?} (rows = {}, want out_c = {oc})",
+            self.out_shape,
+            dy.rows()
+        );
+        assert_eq!(
+            dy.cols(),
+            self.cols_batch * spatial,
+            "conv: backward without matching forward (grad width {}, want batch {} × spatial {spatial})",
+            dy.cols(),
+            self.cols_batch
+        );
+        // One large GEMM for the whole batch; dy is already channel-major,
+        // no staging gather.
+        matrix::gemm_a_bt_accumulate_with(dy, &self.cols, &mut self.dw, &mut self.scratch);
+        for c in 0..oc {
+            self.db[c] += fda_tensor::vector::sum(dy.row(c));
         }
     }
 
     // -----------------------------------------------------------------
     // Test / property-suite support: the lowering operators as plain
-    // matrix functions, so invariants (adjointness, plan coverage) can be
-    // checked from outside the crate.
+    // matrix functions, so invariants (adjointness, plan coverage, span
+    // vs plan bit-identity) can be checked from outside the crate.
     // -----------------------------------------------------------------
 
     /// Lowers a channel-major batch (`in_c × batch·in_spatial`) and
@@ -273,7 +419,7 @@ impl Conv2d {
     pub fn im2col_batch(&mut self, x: &Matrix) -> Matrix {
         let batch = self.in_shape.batch_of(x, "conv im2col input");
         self.ensure_buffers(batch);
-        self.lower(x, batch);
+        im2col(&self.spans, &self.mask, x, &mut self.cols);
         self.cols.clone()
     }
 
@@ -294,21 +440,22 @@ impl Conv2d {
             dcol.cols()
         );
         let batch = dcol.cols() / spatial;
-        let in_spatial = self.in_shape.spatial();
-        let mut dx = Matrix::zeros(self.in_shape.c, batch * in_spatial);
-        for s in 0..batch {
-            col2im_from(&self.plan, dcol, s * spatial, &mut dx, s * in_spatial);
-        }
+        let mut spans = Vec::new();
+        let spatials = (self.in_shape.spatial(), spatial);
+        build_spans(&self.sample_spans, batch, spatials, &mut spans);
+        let mut dx = Matrix::zeros(self.in_shape.c, batch * self.in_shape.spatial());
+        col2im(&spans, &self.mask, dcol, &mut dx);
         dx
     }
 
-    /// The precomputed copy-run plan as
+    /// The exact copy-run plan as
     /// `(cols_row, src_channel, dst_offset, src_offset, len)` tuples —
-    /// offsets relative to a sample's output block / input plane. Exposed
-    /// so the workspace property suite can check coverage and disjointness
-    /// invariants directly.
+    /// offsets relative to a sample's output block / input plane, every
+    /// covered position in bounds. Exposed so the workspace property suite
+    /// can check coverage and disjointness invariants directly, and check
+    /// the executed spans against it.
     pub fn plan_runs(&self) -> Vec<(usize, usize, usize, usize, usize)> {
-        self.plan
+        build_copy_plan(self.in_shape, self.out_shape, self.k, self.pad)
             .iter()
             .map(|r| {
                 (
@@ -332,7 +479,7 @@ impl Layer for Conv2d {
         let batch = self.in_shape.batch_of(&x, "conv input");
         let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
         self.ensure_buffers(batch);
-        self.lower(&x, batch);
+        im2col(&self.spans, &self.mask, &x, &mut self.cols);
         // One large GEMM for the whole batch; the product is already the
         // channel-major layer output — no staging scatter. Accumulate into
         // the freshly zeroed output (numerically identical to the
@@ -349,39 +496,18 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, dy: Matrix) -> Matrix {
-        let (oc, spatial) = (self.out_shape.c, self.out_shape.spatial());
-        assert_eq!(
-            dy.rows(),
-            oc,
-            "conv: grad not channel-major for {:?} (rows = {}, want out_c = {oc})",
-            self.out_shape,
-            dy.rows()
-        );
-        assert_eq!(
-            dy.cols(),
-            self.cols_batch * spatial,
-            "conv: backward without matching forward (grad width {}, want batch {} × spatial {spatial})",
-            dy.cols(),
-            self.cols_batch
-        );
-        let batch = self.cols_batch;
+        self.accumulate_param_grads(&dy);
         self.ensure_backward_buffers();
-        // dW += dy · colsᵀ — one large GEMM for the whole batch; dy is
-        // already channel-major, no staging gather.
-        matrix::gemm_a_bt_accumulate_with(&dy, &self.cols, &mut self.dw, &mut self.scratch);
-        // db += row sums of dy.
-        for c in 0..oc {
-            self.db[c] += fda_tensor::vector::sum(dy.row(c));
-        }
-        // dcol = Wᵀ · dy, then scatter each sample's block back.
+        // dcol = Wᵀ · dy, then scatter it back along the spans.
         self.dcol.clear();
         matrix::gemm_at_b_accumulate_with(&self.w, &dy, &mut self.dcol, &mut self.scratch);
-        let in_spatial = self.in_shape.spatial();
-        let mut dx = Matrix::zeros(self.in_shape.c, batch * in_spatial);
-        for s in 0..batch {
-            col2im_from(&self.plan, &self.dcol, s * spatial, &mut dx, s * in_spatial);
-        }
+        let mut dx = Matrix::zeros(self.in_shape.c, self.cols_batch * self.in_shape.spatial());
+        col2im(&self.spans, &self.mask, &self.dcol, &mut dx);
         dx
+    }
+
+    fn backward_params(&mut self, dy: Matrix) {
+        self.accumulate_param_grads(&dy);
     }
 
     fn param_count(&self) -> usize {

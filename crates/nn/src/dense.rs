@@ -120,6 +120,24 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+
+    /// `dW += xᵀ · dy` and `db +=` column sums of `dy`: the parameter half
+    /// of the backward pass, the one place both [`Layer::backward`] and
+    /// [`Layer::backward_params`] compute it.
+    fn accumulate_param_grads(&mut self, dy: &Matrix) {
+        assert_eq!(dy.cols(), self.out_dim, "dense: grad width mismatch");
+        assert_eq!(
+            dy.rows(),
+            self.cache_x.rows(),
+            "dense: backward without matching forward"
+        );
+        matrix::gemm_at_b_accumulate_with(&self.cache_x, dy, &mut self.dw, &mut self.scratch);
+        for r in 0..dy.rows() {
+            for (c, v) in dy.row(r).iter().enumerate() {
+                self.db[c] += v;
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -143,21 +161,7 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, dy: Matrix) -> Matrix {
-        assert_eq!(dy.cols(), self.out_dim, "dense: grad width mismatch");
-        assert_eq!(
-            dy.rows(),
-            self.cache_x.rows(),
-            "dense: backward without matching forward"
-        );
-        // dW += xᵀ · dy
-        matrix::gemm_at_b_accumulate_with(&self.cache_x, &dy, &mut self.dw, &mut self.scratch);
-        // db += column sums of dy
-        for r in 0..dy.rows() {
-            let row = dy.row(r);
-            for (c, v) in row.iter().enumerate() {
-                self.db[c] += v;
-            }
-        }
+        self.accumulate_param_grads(&dy);
         // dx = dy · Wᵀ. Materializing Wᵀ (tiny, reused buffer) turns this
         // into a contiguous-B product eligible for the streaming mid
         // kernel, which beats the transpose-packed path at dense-layer
@@ -174,6 +178,10 @@ impl Layer for Dense {
         let mut dx = Matrix::zeros(dy.rows(), self.in_dim);
         matrix::gemm_accumulate_with(&dy, &self.w_t, &mut dx, &mut self.scratch);
         dx
+    }
+
+    fn backward_params(&mut self, dy: Matrix) {
+        self.accumulate_param_grads(&dy);
     }
 
     fn param_count(&self) -> usize {

@@ -290,6 +290,27 @@ mod tests {
         );
     }
 
+    /// A model whose first layer has no parameters: backward stops at the
+    /// dense layer above the dropout and never runs the dropout, and the
+    /// gradients still match the finite differences.
+    #[test]
+    fn dropout_first_layer_gradients() {
+        let mut rng = Rng::new(61);
+        let mut m = Sequential::new("gc-dropout-first", 6)
+            .push(crate::dropout::Dropout::new(0.5, 321))
+            .push(Dense::new(6, 8, Init::GlorotUniform, &mut rng))
+            .push(Tanh::new())
+            .push(Dense::new(8, 3, Init::GlorotUniform, &mut rng));
+        let x = batch(&mut rng, 5, 6);
+        let labels = vec![2, 1, 0, 0, 1];
+        let report = check_param_gradients(&mut m, &x, &labels, 1e-2, 1);
+        assert!(
+            report.max_rel_err < 2e-2,
+            "dropout-first max relative error {} too large",
+            report.max_rel_err
+        );
+    }
+
     /// The whole zoo, end to end: every model (conv stacks with ReLU,
     /// MaxPool, Dropout, dense heads) must pass the finite-difference check
     /// under the channel-major layout. ReLU/MaxPool kinks make a sparse set

@@ -104,6 +104,14 @@ impl Shape3 {
 ///
 /// `backward` must be preceded by a `forward` on the same input batch;
 /// implementations may panic otherwise.
+///
+/// **First-trained-layer rule.** No layer consumes the input gradient of a
+/// model's lowest layer with parameters, so [`crate::model::Sequential`]
+/// stops its backward pass there: that layer runs
+/// [`Layer::backward_params`], which accumulates the same parameter
+/// gradients as `backward` and skips `dL/dx`, and the parameter-free
+/// layers below it are not run at all. Called directly, `backward` always
+/// returns the exact `dL/dx`.
 pub trait Layer: Send {
     /// Human-readable layer name (used in model summaries).
     fn name(&self) -> &'static str;
@@ -114,6 +122,15 @@ pub trait Layer: Send {
     /// Backward pass: returns the gradient w.r.t. the layer input and
     /// accumulates parameter gradients.
     fn backward(&mut self, dy: Matrix) -> Matrix;
+
+    /// The backward pass of a model's first trained layer: accumulates
+    /// exactly the parameter gradients [`Layer::backward`] would and skips
+    /// the input gradient. Layers whose input gradient costs real work
+    /// override it by sharing their parameter-gradient code with
+    /// `backward`; the default runs `backward` and drops `dL/dx`.
+    fn backward_params(&mut self, dy: Matrix) {
+        let _ = self.backward(dy);
+    }
 
     /// Number of scalar parameters in this layer.
     fn param_count(&self) -> usize {

@@ -30,6 +30,8 @@ pub struct Sequential {
     /// `Some` iff the first layer consumes channel-major activations; the
     /// model input is converted at entry in that case.
     input_shape: Option<Shape3>,
+    /// Index of the lowest layer with parameters, where backward stops.
+    first_trained: Option<usize>,
     layers: Vec<Box<dyn Layer>>,
     name: String,
 }
@@ -41,6 +43,7 @@ impl Sequential {
             in_dim,
             out_dim: in_dim,
             input_shape: None,
+            first_trained: None,
             layers: Vec::new(),
             name: name.into(),
         }
@@ -55,6 +58,9 @@ impl Sequential {
         self.out_dim = layer.out_dim(self.out_dim);
         if self.layers.is_empty() {
             self.input_shape = layer.in_shape3();
+        }
+        if self.first_trained.is_none() && layer.param_count() > 0 {
+            self.first_trained = Some(self.layers.len());
         }
         self.layers.push(Box::new(layer));
         self
@@ -133,14 +139,20 @@ impl Sequential {
 
     /// Backward pass; parameter gradients accumulate inside the layers.
     ///
-    /// The returned input gradient is in the model's **native** input
-    /// layout (channel-major for spatial models).
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let mut g = dy.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(g);
-        }
-        g
+    /// Stops at the first trained layer (see [`Layer`]): that layer
+    /// computes only its parameter gradients
+    /// ([`Layer::backward_params`]), and the parameter-free layers below
+    /// it are not run, since nothing consumes the model's input gradient.
+    pub fn backward(&mut self, dy: &Matrix) {
+        let Some(first) = self.first_trained else {
+            return;
+        };
+        let (below, above) = self.layers.split_at_mut(first + 1);
+        let g = above
+            .iter_mut()
+            .rev()
+            .fold(dy.clone(), |g, layer| layer.backward(g));
+        below[first].backward_params(g);
     }
 
     /// Zeroes all accumulated gradients.
@@ -231,7 +243,7 @@ impl Sequential {
         self.zero_grads();
         let logits = self.forward_native(x, true);
         let (loss, dlogits, correct) = SoftmaxCrossEntropy.forward(&logits, labels);
-        let _ = self.backward(&dlogits);
+        self.backward(&dlogits);
         (loss, correct)
     }
 
@@ -244,7 +256,7 @@ impl Sequential {
         self.zero_grads();
         let logits = self.forward(x, false);
         let (loss, dlogits, correct) = SoftmaxCrossEntropy.forward(&logits, labels);
-        let _ = self.backward(&dlogits);
+        self.backward(&dlogits);
         (loss, correct)
     }
 
@@ -304,7 +316,9 @@ mod tests {
     use super::*;
     use crate::activation::Relu;
     use crate::dense::Dense;
+    use crate::dropout::Dropout;
     use crate::init::Init;
+    use crate::zoo::ModelId;
     use fda_tensor::Rng;
 
     fn tiny_mlp(seed: u64) -> Sequential {
@@ -407,5 +421,55 @@ mod tests {
     fn wrong_input_width_panics() {
         let mut m = tiny_mlp(6);
         let _ = m.forward(&Matrix::zeros(1, 5), false);
+    }
+
+    /// The parameter gradients of a train-mode step whose backward runs
+    /// [`Layer::backward`] on every layer, input gradients included — the
+    /// reference for the first-trained-layer rule.
+    fn full_backward_grad_bits(m: &mut Sequential, x: &Matrix, labels: &[usize]) -> Vec<u32> {
+        m.zero_grads();
+        let logits = m.forward(x, true);
+        let (_, dlogits, _) = SoftmaxCrossEntropy.forward(&logits, labels);
+        let mut g = dlogits;
+        for layer in m.layers.iter_mut().rev() {
+            g = layer.backward(g);
+        }
+        m.grads_flat().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `compute_gradients` stops at the first trained layer; its parameter
+    /// gradients must equal the full backward's bit for bit, for every zoo
+    /// model at batch 1 and 32 and for a model whose first layer has no
+    /// parameters. Two identically seeded builds keep dropout masks equal.
+    #[test]
+    fn first_trained_layer_backward_matches_full_backward() {
+        let build = |id: Option<ModelId>| match id {
+            Some(id) => id.build(17, 99),
+            None => {
+                let mut rng = Rng::new(23);
+                Sequential::new("dropout-first", 12)
+                    .push(Dropout::new(0.3, 23))
+                    .push(Dense::new(12, 16, Init::HeNormal, &mut rng))
+                    .push(Relu::new())
+                    .push(Dense::new(16, 10, Init::HeNormal, &mut rng))
+            }
+        };
+        for id in ModelId::ALL.into_iter().map(Some).chain([None]) {
+            for batch in [1usize, 32] {
+                let (mut fast, mut reference) = (build(id), build(id));
+                let mut x = Matrix::zeros(batch, fast.in_dim());
+                Rng::new(batch as u64).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+                let labels: Vec<usize> = (0..batch).map(|i| (i * 7) % fast.out_dim()).collect();
+                let _ = fast.compute_gradients(&x, &labels);
+                let got: Vec<u32> = fast.grads_flat().iter().map(|v| v.to_bits()).collect();
+                let want = full_backward_grad_bits(&mut reference, &x, &labels);
+                assert_eq!(
+                    got,
+                    want,
+                    "{} batch {batch}: parameter gradients moved",
+                    fast.name()
+                );
+            }
+        }
     }
 }

@@ -335,6 +335,100 @@ fn im2col_plan_coverage_and_disjointness() {
     }
 }
 
+/// Fills `m` with normals and sprinkles `-0.0`, NaN and ±inf over ~20% of
+/// its entries.
+fn fill_with_specials(rng: &mut Rng, m: &mut Matrix) {
+    rng.fill_normal(m.as_mut_slice(), 0.0, 1.0);
+    const SPECIALS: [f32; 4] = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for v in m.as_mut_slice() {
+        if rng.next_u64().is_multiple_of(5) {
+            *v = SPECIALS[(rng.next_u64() % 4) as usize];
+        }
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN mapped to one pattern. Rust leaves the sign and
+/// payload of a NaN produced by arithmetic unspecified (an `a + b` of two
+/// NaNs may return either), so sums are compared bit for bit everywhere
+/// else and NaN for NaN.
+fn sum_bits(m: &Matrix) -> Vec<u32> {
+    let nan = f32::NAN.to_bits();
+    m.as_slice()
+        .iter()
+        .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+        .collect()
+}
+
+/// The executed lowering (batch-wide masked spans) equals the exact copy
+/// plan applied run by run, bit for bit, for im2col and col2im: over
+/// random geometries with even and odd kernels, pad 0 to k and batch 1–5,
+/// on inputs carrying `-0.0`, NaN and ±inf at valid and padded positions.
+/// Padded `cols` entries must come out as exactly `+0.0`, and a padded
+/// column-gradient entry must leave the input gradient untouched (col2im
+/// sums compare NaN for NaN, see [`sum_bits`]).
+#[test]
+fn span_lowering_matches_exact_plan_bitwise() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xA5_0000 + case);
+        let (in_shape, oc, k, pad) = loop {
+            let c = 1 + (rng.next_u64() % 3) as usize;
+            let h = 1 + (rng.next_u64() % 7) as usize;
+            let w = 1 + (rng.next_u64() % 7) as usize;
+            let k = 1 + (rng.next_u64() % 4) as usize;
+            let pad = (rng.next_u64() % (k as u64 + 1)) as usize;
+            if k <= h + 2 * pad && k <= w + 2 * pad {
+                break (
+                    Shape3::new(c, h, w),
+                    1 + (rng.next_u64() % 3) as usize,
+                    k,
+                    pad,
+                );
+            }
+        };
+        let batch = 1 + (rng.next_u64() % 5) as usize;
+        let mut conv = Conv2d::new(in_shape, oc, k, pad, Init::HeNormal, &mut rng);
+        let (in_sp, out_sp) = (in_shape.spatial(), conv.out_shape().spatial());
+        let rows = in_shape.c * k * k;
+        let ctx = format!("case {case} ({in_shape:?} k={k} pad={pad} batch={batch})");
+
+        let mut x = Matrix::zeros(in_shape.c, batch * in_sp);
+        fill_with_specials(&mut rng, &mut x);
+        let mut want_cols = Matrix::zeros(rows, batch * out_sp);
+        for s in 0..batch {
+            for (row, ch, dst, src, len) in conv.plan_runs() {
+                for i in 0..len {
+                    let v = x.get(ch, s * in_sp + src + i);
+                    want_cols.set(row, s * out_sp + dst + i, v);
+                }
+            }
+        }
+        assert_eq!(
+            bits(&conv.im2col_batch(&x)),
+            bits(&want_cols),
+            "{ctx}: im2col"
+        );
+
+        let mut dcol = Matrix::zeros(rows, batch * out_sp);
+        fill_with_specials(&mut rng, &mut dcol);
+        let mut want_dx = Matrix::zeros(in_shape.c, batch * in_sp);
+        for s in 0..batch {
+            for (row, ch, dst, src, len) in conv.plan_runs() {
+                for i in 0..len {
+                    let at = s * in_sp + src + i;
+                    let v = want_dx.get(ch, at) + dcol.get(row, s * out_sp + dst + i);
+                    want_dx.set(ch, at, v);
+                }
+            }
+        }
+        let got_dx = conv.col2im_batch(&dcol);
+        assert_eq!(sum_bits(&got_dx), sum_bits(&want_dx), "{ctx}: col2im");
+    }
+}
+
 /// A random local state covering all three summary tags, including the
 /// degenerate shapes a generic transport must survive: empty sketches
 /// (zero rows and/or zero cols) and length-0 exact drifts.
@@ -996,6 +1090,49 @@ fn codec_decoders_are_total_under_fuzz() {
             let len = (rng.next_u64() % 64) as usize;
             let soup: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
             let _ = codec.decode(&soup, v.len());
+        }
+    }
+}
+
+/// `decode_into` is `decode` into a caller-owned buffer: on valid
+/// encodings, strict truncations and byte mutations, both accept the same
+/// buffers and yield the same bits.
+#[test]
+fn codec_decode_into_agrees_with_decode_under_fuzz() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xE3_0000 + case);
+        let v = random_payload(&mut rng);
+        for codec in random_codecs(&mut rng) {
+            let name = codec.name();
+            let enc = codec.encode(&v);
+            let mut bufs: Vec<Vec<u8>> = (0..=enc.len()).map(|cut| enc[..cut].to_vec()).collect();
+            for _ in 0..8 {
+                let mut buf = enc.clone();
+                if !buf.is_empty() {
+                    let i = (rng.next_u64() as usize) % buf.len();
+                    buf[i] ^= (rng.next_u64() % 255 + 1) as u8;
+                }
+                bufs.push(buf);
+            }
+            for buf in &bufs {
+                for n in [v.len(), v.len() + 1] {
+                    let want = codec
+                        .decode(buf, n)
+                        .map(|d| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                    let mut out = vec![0.0f32; n];
+                    let got = codec
+                        .decode_into(buf, &mut out)
+                        .map(|()| out.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                    assert_eq!(
+                        got.is_ok(),
+                        want.is_ok(),
+                        "case {case} {name}: decode_into and decode disagree on acceptance"
+                    );
+                    if let (Ok(got), Ok(want)) = (got, want) {
+                        assert_eq!(got, want, "case {case} {name}: decode_into values");
+                    }
+                }
+            }
         }
     }
 }
