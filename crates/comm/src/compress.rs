@@ -17,17 +17,19 @@
 //!   coordinates whose drift magnitude exceeds a fixed threshold, the
 //!   natural per-coordinate composition with FDA's drift monitor.
 //!
-//! Three contracts hold for every codec, and the property suite pins them:
+//! Three contracts hold for every codec; the property suite pins 2 and 3:
 //!
-//! 1. **Exact accounting** — [`Codec::encoded_bytes`] equals
-//!    `encode(v).len()` exactly, so charged bytes are emitted bytes.
+//! 1. **Exact accounting** — charged bytes are emitted bytes by
+//!    construction: the simulator charges the length of the payload it
+//!    just encoded (`fda_core::round::upload`), the coordinator the length
+//!    of the frame it received, and `codec_parity` checks measured ==
+//!    charged end to end.
 //! 2. **Total decoding** — [`Codec::decode`] never panics and never
 //!    allocates more than the caller-supplied element count implies, no
 //!    matter how hostile the byte buffer (the `core::wire` convention).
 //! 3. **Byte idempotence** — `encode(decode(encode(v))) == encode(v)`:
 //!    one encode reaches the codec's fixed point, so re-encoding a
-//!    reconstruction (as the simulator's accounting does) charges the
-//!    same bytes the socket carried.
+//!    reconstruction emits the same bytes the socket carried.
 //!
 //! [`Codec::roundtrip`] is *defined* as `decode(encode(v))`, so the
 //! simulator and the socket transport share one lossy path by
@@ -98,16 +100,9 @@ pub trait Codec: Send + Sync {
         Ok(())
     }
 
-    /// Exact encoded size in bytes for this input — equal to
-    /// `encode(v).len()` (the property suite asserts it). Codecs with a
-    /// closed form override this to skip the encode.
-    fn encoded_bytes(&self, v: &[f32]) -> u64 {
-        self.encode(v).len() as u64
-    }
-
     /// The reconstruction a receiver computes: `decode(encode(v))`. The
-    /// simulator charges [`Codec::encoded_bytes`] and applies exactly
-    /// this, so sim and socket share one lossy path by construction.
+    /// simulator applies exactly this, so sim and socket share one lossy
+    /// path by construction.
     ///
     /// # Panics
     /// Panics only if the codec fails to decode its own encoding — an
@@ -155,10 +150,6 @@ impl Codec for Dense32 {
             *o = f32::from_le_bytes(c.try_into().expect("len 4"));
         }
         Ok(())
-    }
-
-    fn encoded_bytes(&self, v: &[f32]) -> u64 {
-        v.len() as u64 * 4
     }
 }
 
@@ -380,17 +371,6 @@ impl Codec for Uniform8Bit {
         }
         Ok(())
     }
-
-    fn encoded_bytes(&self, v: &[f32]) -> u64 {
-        let mut total = 0u64;
-        for chunk in v.chunks(self.chunk) {
-            total += 8 + match Uniform8Bit::plan(chunk) {
-                ChunkPlan::Quantized { .. } => chunk.len() as u64,
-                ChunkPlan::Raw => chunk.len() as u64 * 4,
-            };
-        }
-        total
-    }
 }
 
 /// Encodes a sparse selection as `[index u32][value f32]` pairs in
@@ -573,10 +553,6 @@ impl Codec for DriftMask {
     fn decode(&self, buf: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
         decode_pairs(buf, n)
     }
-
-    fn encoded_bytes(&self, v: &[f32]) -> u64 {
-        self.keep(v).len() as u64 * 8
-    }
 }
 
 /// Telemetry decorator every [`CodecSpec::build`] result is wrapped in:
@@ -614,10 +590,6 @@ impl Codec for Instrumented {
         let _span = fda_obs::histogram!("codec_decode_us").span();
         fda_obs::counter!("codec_decoded_bytes").add(buf.len() as u64);
         self.0.decode_into(buf, out)
-    }
-
-    fn encoded_bytes(&self, v: &[f32]) -> u64 {
-        self.0.encoded_bytes(v)
     }
 }
 
@@ -841,7 +813,6 @@ mod tests {
     fn dense_is_lossless_and_byte_exact() {
         let v = sample(100, 1);
         assert_eq!(Dense32.roundtrip(&v), v);
-        assert_eq!(Dense32.encoded_bytes(&v), 400);
         assert_eq!(Dense32.encode(&v).len(), 400);
         // The dense payload is the raw LE f32 run — no header.
         let enc = Dense32.encode(&v);
@@ -863,7 +834,7 @@ mod tests {
             );
         }
         // 4×-ish compression.
-        assert!(codec.encoded_bytes(&v) < Dense32.encoded_bytes(&v) / 3);
+        assert!(codec.encode(&v).len() < Dense32.encode(&v).len() / 3);
     }
 
     #[test]
@@ -939,9 +910,9 @@ mod tests {
         assert_eq!(r.iter().filter(|x| x.to_bits() != 0).count(), 4);
     }
 
-    /// Regression (pre-fix: `encoded_bytes` charged `min(k, n)` pairs even
-    /// when fewer were kept): charged bytes equal emitted bytes exactly on
-    /// sparse inputs.
+    /// Regression (pre-fix: top-k was charged `min(k, n)` pairs even when
+    /// fewer were kept): on sparse inputs the payload holds only the
+    /// nonzeros, and that payload length is what gets charged.
     #[test]
     fn topk_encoded_bytes_equals_emitted_on_sparse_input() {
         let codec = TopK::new(10);
@@ -951,11 +922,6 @@ mod tests {
         v[44] = 3.0;
         let enc = codec.encode(&v);
         assert_eq!(enc.len(), 3 * 8, "only 3 nonzeros exist to transmit");
-        assert_eq!(
-            codec.encoded_bytes(&v),
-            enc.len() as u64, // pre-fix: charged 10 * 8
-            "charged bytes must equal emitted bytes"
-        );
         assert_eq!(codec.roundtrip(&v), v);
     }
 
@@ -984,7 +950,7 @@ mod tests {
     fn topk_fraction_and_bytes() {
         let codec = TopK::fraction(10_000, 0.01);
         let v = sample(10_000, 11);
-        assert_eq!(codec.encoded_bytes(&v), 100 * 8);
+        assert_eq!(codec.encode(&v).len(), 100 * 8);
         let full = TopK::new(20);
         assert_eq!(
             full.roundtrip(&[1.0, 2.0]),
@@ -1001,7 +967,6 @@ mod tests {
         // |−3| and |2| exceed 1.0 strictly; |1.0| ties and stays home;
         // NaN orders above +inf and always transmits.
         assert_eq!(enc.len(), 3 * 8);
-        assert_eq!(codec.encoded_bytes(&v), 3 * 8);
         let r = codec.decode(&enc, v.len()).unwrap();
         assert_eq!(r[0], 0.0);
         assert_eq!(r[1], -3.0);
@@ -1027,7 +992,6 @@ mod tests {
             let d = codec.decode(&e1, v.len()).unwrap();
             let e2 = codec.encode(&d);
             assert_eq!(e1, e2, "{} is not byte-idempotent", codec.name());
-            assert_eq!(codec.encoded_bytes(&v), e1.len() as u64, "{}", codec.name());
         }
     }
 

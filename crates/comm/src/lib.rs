@@ -7,9 +7,9 @@
 //! fabric. This crate therefore provides:
 //!
 //! * [`sim::SimNetwork`] — an in-process AllReduce over worker buffers with
-//!   exact per-worker byte accounting under two accounting modes
-//!   ([`cost::AccountingMode`]): the paper's per-worker-payload convention
-//!   and a ring-allreduce convention.
+//!   exact per-worker byte accounting under the paper's per-worker-payload
+//!   convention ([`cost::per_worker_charge`]), which the TCP coordinator
+//!   applies to the bytes it measures.
 //! * [`cost::Environment`] — wall-time models for the three deployment
 //!   regimes of Figure 12 (FL at 0.5 Gbps, Balanced, ARIS-HPC InfiniBand),
 //!   used to translate (bytes, steps) into time and pick Θ.
@@ -25,5 +25,5 @@ pub use compress::{
     apply_delta_downlink, delta_downlink, Codec, CodecError, CodecSpec, Dense32, DownlinkSpec,
     DriftMask, TopK, Uniform8Bit,
 };
-pub use cost::{AccountingMode, Environment};
+pub use cost::{per_worker_charge, Environment};
 pub use sim::SimNetwork;

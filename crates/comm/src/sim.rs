@@ -2,11 +2,12 @@
 //!
 //! `SimNetwork` performs the *arithmetic* of AllReduce (element-wise mean
 //! across worker buffers, result visible to all workers — §3 Notation) and
-//! *charges* each worker the bytes the chosen [`AccountingMode`] dictates.
-//! The simulation executes the identical numerics a real fabric would, so
-//! byte counts are exact and results are deterministic.
+//! *charges* each worker its payload under the paper's convention
+//! ([`per_worker_charge`]). The simulation executes the identical numerics
+//! a real fabric would, so byte counts are exact and results are
+//! deterministic.
 
-use crate::cost::AccountingMode;
+use crate::cost::per_worker_charge;
 
 /// Per-worker traffic counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -21,7 +22,6 @@ pub struct TrafficStats {
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
     k: usize,
-    mode: AccountingMode,
     per_worker: Vec<TrafficStats>,
     /// Traffic of finished membership eras (see [`SimNetwork::set_workers`]).
     banked: TrafficStats,
@@ -30,19 +30,13 @@ pub struct SimNetwork {
 impl SimNetwork {
     /// Creates a fabric for `k` workers with the paper's per-worker-payload
     /// accounting.
-    pub fn new(k: usize) -> SimNetwork {
-        SimNetwork::with_mode(k, AccountingMode::PerWorkerPayload)
-    }
-
-    /// Creates a fabric with an explicit accounting mode.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn with_mode(k: usize, mode: AccountingMode) -> SimNetwork {
+    pub fn new(k: usize) -> SimNetwork {
         assert!(k >= 1, "network: need at least one worker");
         SimNetwork {
             k,
-            mode,
             per_worker: vec![TrafficStats::default(); k],
             banked: TrafficStats::default(),
         }
@@ -69,11 +63,6 @@ impl SimNetwork {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.k
-    }
-
-    /// The configured accounting mode.
-    pub fn mode(&self) -> AccountingMode {
-        self.mode
     }
 
     /// AllReduce-average over one equal-length `f32` buffer per worker:
@@ -121,25 +110,11 @@ impl SimNetwork {
         self.charge_per_worker(payloads);
     }
 
-    /// AllReduce-average over one scalar per worker; returns the mean and
-    /// stores it back into every slot.
-    pub fn allreduce_scalar(&mut self, values: &mut [f32]) -> f32 {
-        assert_eq!(values.len(), self.k, "allreduce: scalar count != K");
-        let mean = values.iter().sum::<f32>() / self.k as f32;
-        values.iter_mut().for_each(|v| *v = mean);
-        self.charge_all(4);
-        mean
-    }
-
     /// Charges every worker for an AllReduce with the given payload,
     /// without performing arithmetic (used when the caller fuses payloads —
     /// e.g. FDA's state = sketch ‖ scalar — but wants one traffic entry).
     pub fn charge_allreduce(&mut self, payload_bytes: u64) {
-        self.charge_all(payload_bytes);
-    }
-
-    fn charge_all(&mut self, payload_bytes: u64) {
-        let per = self.mode.per_worker_bytes(payload_bytes, self.k);
+        let per = per_worker_charge(payload_bytes, self.k);
         for s in &mut self.per_worker {
             s.bytes += per;
             s.messages += 1;
@@ -156,7 +131,7 @@ impl SimNetwork {
     pub fn charge_per_worker(&mut self, payloads: &[u64]) {
         assert_eq!(payloads.len(), self.k, "charge: payload count != K");
         for (s, &payload) in self.per_worker.iter_mut().zip(payloads) {
-            s.bytes += self.mode.per_worker_bytes(payload, self.k);
+            s.bytes += per_worker_charge(payload, self.k);
             s.messages += 1;
         }
     }
@@ -175,12 +150,6 @@ impl SimNetwork {
     /// Traffic of a single worker in the current membership era.
     pub fn worker_stats(&self, k: usize) -> &TrafficStats {
         &self.per_worker[k]
-    }
-
-    /// Resets the counters.
-    pub fn reset(&mut self) {
-        self.per_worker = vec![TrafficStats::default(); self.k];
-        self.banked = TrafficStats::default();
     }
 }
 
@@ -210,47 +179,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_mode_charges_less_per_worker() {
-        let mut a = SimNetwork::with_mode(8, AccountingMode::PerWorkerPayload);
-        let mut b = SimNetwork::with_mode(8, AccountingMode::RingAllReduce);
-        let mut bufs_a = vec![vec![0.0f32; 1000]; 8];
-        let mut bufs_b = bufs_a.clone();
-        a.allreduce_mean(&mut bufs_a);
-        b.allreduce_mean(&mut bufs_b);
-        // Ring: 2·7/8 = 1.75× < 2× but per-worker-payload charges 1×...
-        // actually ring charges MORE per worker here (1.75×·payload versus
-        // 1×·payload): what matters is both are exact for their convention.
-        assert_eq!(a.worker_stats(0).bytes, 4_000);
-        assert_eq!(b.worker_stats(0).bytes, 7_000);
-    }
-
-    #[test]
-    fn scalar_allreduce() {
-        let mut net = SimNetwork::new(5);
-        let mut vals = vec![1.0f32, 2.0, 3.0, 4.0, 5.0];
-        let mean = net.allreduce_scalar(&mut vals);
-        assert_eq!(mean, 3.0);
-        assert!(vals.iter().all(|&v| v == 3.0));
-        assert_eq!(net.total_bytes(), 5 * 4);
-    }
-
-    #[test]
     fn single_worker_free() {
         let mut net = SimNetwork::new(1);
         let mut bufs = vec![vec![7.0f32; 10]];
         net.allreduce_mean(&mut bufs);
         assert_eq!(bufs[0], vec![7.0f32; 10]);
         assert_eq!(net.total_bytes(), 0);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut net = SimNetwork::new(2);
-        net.charge_allreduce(1000);
-        assert!(net.total_bytes() > 0);
-        net.reset();
-        assert_eq!(net.total_bytes(), 0);
-        assert_eq!(net.total_messages(), 0);
     }
 
     #[test]

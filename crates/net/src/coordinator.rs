@@ -36,7 +36,7 @@
 
 use crate::frame::{write_frame, CountingStream, FrameKind, NetError, PROTOCOL_VERSION};
 use crate::protocol::{downlink_kind, encode_avg_state_into, recv_frame_at_epoch_into, Msg};
-use fda_comm::{AccountingMode, SimNetwork};
+use fda_comm::{per_worker_charge, SimNetwork};
 use fda_core::monitor::LocalState;
 use fda_core::round::RoundEngine;
 use fda_core::wire::{decode_state_coded, decode_vector_coded, state_frame_overhead, JobSpec};
@@ -493,7 +493,6 @@ impl Coordinator {
         // tag/dims header is uncharged self-description), a model charges
         // its encoded payload (minus the 4-byte length header).
         let state_overhead = state_frame_overhead(&state_shape);
-        let mode = AccountingMode::PerWorkerPayload;
         let downlink_kind = downlink_kind(spec.downlink);
         let mut tele: Option<JsonlWriter> = match &self.telemetry {
             Some(path) => Some(JsonlWriter::create(path)?),
@@ -545,11 +544,12 @@ impl Coordinator {
         let mut states: Vec<LocalState> = Vec::with_capacity(k);
         let mut models: Vec<Vec<f32>> = Vec::with_capacity(k);
         let mut bytes: Vec<u64> = Vec::with_capacity(k);
-        // Survivors' payload bytes, measured under the accounting mode.
+        // Survivors' payload bytes, measured under the simulator's
+        // per-worker charge.
         let measure = |bytes: &[u64]| -> u64 {
             bytes
                 .iter()
-                .map(|&b| mode.per_worker_bytes(b, bytes.len()))
+                .map(|&b| per_worker_charge(b, bytes.len()))
                 .sum()
         };
 

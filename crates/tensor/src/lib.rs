@@ -16,7 +16,7 @@
 //! * [`simd`] — the runtime-dispatched kernel layer behind [`vector`] and
 //!   the GEMM: AVX-512 FMA, AVX2+FMA and scalar arms selected once per
 //!   process (`FDA_FORCE_KERNEL` overrides for testing).
-//! * [`matrix`] — a row-major [`Matrix`] with blocked GEMM/GEMV used by the
+//! * [`matrix`] — a row-major [`Matrix`] with a blocked GEMM used by the
 //!   neural-network layers.
 //! * [`stats`] — summary statistics (median, quantiles, linear fits) used
 //!   by the benchmark harnesses (e.g. the Θ ≈ c·d fit of Figure 12).

@@ -16,13 +16,13 @@
 //! microkernel never branches on layout. Packing buffers live in a
 //! [`Scratch`] arena (64-byte-aligned panels, see
 //! [`crate::alloc::AlignedBuf`]) that callers (e.g. NN layers) allocate
-//! once and reuse across steps; the scratch-less entry points fall back to
-//! a thread-local arena so no call path allocates per invocation.
+//! once and reuse across steps, so no call path allocates per invocation.
+//! Each layout has one entry point taking the arena (`*_with`), plus a
+//! `*_with_kernel` twin that pins the SIMD arm for per-arm tests.
 
 use crate::alloc::AlignedBuf;
 use crate::rng::Rng;
 use crate::simd::{self, Kernels};
-use std::cell::RefCell;
 
 /// A dense row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,11 +291,6 @@ impl Scratch {
     pub fn new() -> Scratch {
         Scratch::default()
     }
-}
-
-thread_local! {
-    // Fallback arena for the scratch-less public API.
-    static TL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
 /// Which operand layout the packing routines read from.
@@ -752,14 +747,6 @@ fn assert_shapes(a: &Matrix, b: &Matrix, out: &Matrix) {
 ///
 /// # Panics
 /// Panics on any shape mismatch.
-pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    // Validate before mutating: a shape mismatch must not clobber `out`.
-    assert_shapes(a, b, out);
-    out.clear();
-    gemm_accumulate(a, b, out);
-}
-
-/// [`gemm_into`] with a caller-owned packing arena.
 pub fn gemm_into_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     // Validate before mutating: a shape mismatch must not clobber `out`.
     assert_shapes(a, b, out);
@@ -768,11 +755,6 @@ pub fn gemm_into_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Sc
 }
 
 /// `out ← out + a · b` — the accumulate form used for gradient accumulation.
-pub fn gemm_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    TL_SCRATCH.with(|s| gemm_accumulate_with(a, b, out, &mut s.borrow_mut()));
-}
-
-/// [`gemm_accumulate`] with a caller-owned packing arena.
 pub fn gemm_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     gemm_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
@@ -804,22 +786,10 @@ pub fn gemm_accumulate_with_kernel(
     );
 }
 
-/// `a · b` allocating the result.
-pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.rows, b.cols);
-    gemm_accumulate(a, b, &mut out);
-    out
-}
-
 /// `out ← out + aᵀ · b` without materializing the transpose.
 ///
 /// Shapes: `a` is `k×m`, `b` is `k×n`, `out` is `m×n`. Used by dense-layer
 /// weight gradients (`dW = xᵀ · dy`).
-pub fn gemm_at_b_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    TL_SCRATCH.with(|s| gemm_at_b_accumulate_with(a, b, out, &mut s.borrow_mut()));
-}
-
-/// [`gemm_at_b_accumulate`] with a caller-owned packing arena.
 pub fn gemm_at_b_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     gemm_at_b_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
@@ -856,11 +826,6 @@ pub fn gemm_at_b_accumulate_with_kernel(
 ///
 /// Shapes: `a` is `m×k`, `b` is `n×k`, `out` is `m×n`. Used by dense-layer
 /// input gradients (`dx = dy · Wᵀ`).
-pub fn gemm_a_bt_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    TL_SCRATCH.with(|s| gemm_a_bt_accumulate_with(a, b, out, &mut s.borrow_mut()));
-}
-
-/// [`gemm_a_bt_accumulate`] with a caller-owned packing arena.
 pub fn gemm_a_bt_accumulate_with(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
     gemm_a_bt_accumulate_with_kernel(simd::kernels(), a, b, out, scratch);
 }
@@ -964,18 +929,16 @@ pub mod naive {
     }
 }
 
-/// Matrix–vector product `out ← m · x`.
-pub fn gemv_into(m: &Matrix, x: &[f32], out: &mut [f32]) {
-    assert_eq!(m.cols, x.len(), "gemv: dimension mismatch");
-    assert_eq!(m.rows, out.len(), "gemv: output mismatch");
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = crate::vector::dot(m.row(r), x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `a · b` through the blocked kernel with a fresh arena.
+    fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        gemm_into_with(a, b, &mut out, &mut Scratch::new());
+        out
+    }
 
     #[test]
     fn gemm_small_known() {
@@ -1007,7 +970,7 @@ mod tests {
         let a = Matrix::random_normal(6, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(6, 4, 0.0, 1.0, &mut rng);
         let mut fast = Matrix::zeros(3, 4);
-        gemm_at_b_accumulate(&a, &b, &mut fast);
+        gemm_at_b_accumulate_with(&a, &b, &mut fast, &mut Scratch::new());
         let slow = gemm(&a.transposed(), &b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
@@ -1020,20 +983,21 @@ mod tests {
         let a = Matrix::random_normal(5, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(7, 3, 0.0, 1.0, &mut rng);
         let mut fast = Matrix::zeros(5, 7);
-        gemm_a_bt_accumulate(&a, &b, &mut fast);
+        gemm_a_bt_accumulate_with(&a, &b, &mut fast, &mut Scratch::new());
         let slow = gemm(&a, &b.transposed());
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
         }
     }
 
+    /// A matrix–vector product (row-by-row dots) matches the GEMM with a
+    /// single output column, the kernel's narrowest ragged tile.
     #[test]
     fn gemv_matches_gemm() {
         let mut rng = Rng::new(7);
         let m = Matrix::random_normal(4, 6, 0.0, 1.0, &mut rng);
         let x: Vec<f32> = (0..6).map(|i| i as f32).collect();
-        let mut out = vec![0.0; 4];
-        gemv_into(&m, &x, &mut out);
+        let out: Vec<f32> = (0..4).map(|r| crate::vector::dot(m.row(r), &x)).collect();
         let xm = Matrix::from_vec(6, 1, x);
         let expect = gemm(&m, &xm);
         for (a, b) in out.iter().zip(expect.as_slice()) {
@@ -1054,7 +1018,7 @@ mod tests {
         let a = Matrix::identity(2);
         let b = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let mut out = Matrix::from_vec(2, 2, vec![10.0, 10.0, 10.0, 10.0]);
-        gemm_accumulate(&a, &b, &mut out);
+        gemm_accumulate_with(&a, &b, &mut out, &mut Scratch::new());
         assert_eq!(out.as_slice(), &[11.0, 12.0, 13.0, 14.0]);
     }
 
@@ -1081,6 +1045,7 @@ mod tests {
     #[test]
     fn blocked_matches_naive_on_random_shapes() {
         let mut rng = Rng::new(0xB10C);
+        let mut scratch = Scratch::new();
         // Shapes chosen to straddle the small-GEMM fallback threshold and
         // the MR/NR/KC/MC boundaries (±1 off each block size).
         let shapes = [
@@ -1105,7 +1070,7 @@ mod tests {
 
             let mut fast = Matrix::random_normal(m, n, 0.0, 1.0, &mut rng);
             let mut slow = fast.clone();
-            gemm_accumulate(&a, &b, &mut fast);
+            gemm_accumulate_with(&a, &b, &mut fast, &mut scratch);
             naive::gemm_accumulate(&a, &b, &mut slow);
             assert_close(&fast, &slow, k, &ctx);
 
@@ -1113,7 +1078,7 @@ mod tests {
             let at = a.transposed();
             let mut fast_t = Matrix::zeros(m, n);
             let mut slow_t = Matrix::zeros(m, n);
-            gemm_at_b_accumulate(&at, &b, &mut fast_t);
+            gemm_at_b_accumulate_with(&at, &b, &mut fast_t, &mut scratch);
             naive::gemm_at_b_accumulate(&at, &b, &mut slow_t);
             assert_close(&fast_t, &slow_t, k, &format!("{ctx} (at_b)"));
 
@@ -1121,7 +1086,7 @@ mod tests {
             let bt = b.transposed();
             let mut fast_bt = Matrix::zeros(m, n);
             let mut slow_bt = Matrix::zeros(m, n);
-            gemm_a_bt_accumulate(&a, &bt, &mut fast_bt);
+            gemm_a_bt_accumulate_with(&a, &bt, &mut fast_bt, &mut scratch);
             naive::gemm_a_bt_accumulate(&a, &bt, &mut slow_bt);
             assert_close(&fast_bt, &slow_bt, k, &format!("{ctx} (a_bt)"));
         }
@@ -1131,6 +1096,7 @@ mod tests {
     #[test]
     fn blocked_matches_naive_fuzz() {
         let mut rng = Rng::new(0xF022);
+        let mut scratch = Scratch::new();
         for case in 0..200 {
             let m = (rng.next_u64() % 40) as usize;
             let n = (rng.next_u64() % 40) as usize;
@@ -1139,7 +1105,7 @@ mod tests {
             let b = Matrix::random_uniform(k, n, -2.0, 2.0, &mut rng);
             let mut fast = Matrix::zeros(m, n);
             let mut slow = Matrix::zeros(m, n);
-            gemm_accumulate(&a, &b, &mut fast);
+            gemm_accumulate_with(&a, &b, &mut fast, &mut scratch);
             naive::gemm_accumulate(&a, &b, &mut slow);
             assert_close(
                 &fast,
@@ -1158,29 +1124,36 @@ mod tests {
             let a = Matrix::zeros(m, k);
             let b = Matrix::zeros(k, n);
             let mut out = Matrix::from_vec(m, n, vec![2.5; m * n]);
-            gemm_accumulate(&a, &b, &mut out);
+            let mut scratch = Scratch::new();
+            gemm_accumulate_with(&a, &b, &mut out, &mut scratch);
             assert!(out.as_slice().iter().all(|&v| v == 2.5), "{m}x{k}x{n}");
             let mut out2 = Matrix::zeros(m, n);
-            gemm_into(&a, &b, &mut out2);
+            gemm_into_with(&a, &b, &mut out2, &mut scratch);
             assert!(out2.as_slice().iter().all(|&v| v == 0.0));
         }
     }
 
-    /// A caller-owned scratch arena gives the same results as the
-    /// thread-local one and is reused without reallocating.
+    /// An arena reused across shapes gives the same bits as a fresh one
+    /// (stale panel contents never leak into a smaller product) and is
+    /// not regrown by shapes within its high-water mark.
     #[test]
-    fn explicit_scratch_matches_thread_local() {
+    fn reused_scratch_matches_fresh_and_does_not_regrow() {
         let mut rng = Rng::new(0x5C2A);
         let a = Matrix::random_normal(33, 70, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(70, 45, 0.0, 1.0, &mut rng);
         let mut scratch = Scratch::new();
-        let mut with_scratch = Matrix::zeros(33, 45);
-        gemm_accumulate_with(&a, &b, &mut with_scratch, &mut scratch);
-        let auto = gemm(&a, &b);
-        assert_eq!(with_scratch.as_slice(), auto.as_slice());
+        let mut first = Matrix::zeros(33, 45);
+        gemm_accumulate_with(&a, &b, &mut first, &mut scratch);
+        assert_eq!(first.as_slice(), gemm(&a, &b).as_slice());
         let cap = (scratch.a_pack.capacity(), scratch.b_pack.capacity());
+        let small_a = Matrix::random_normal(20, 40, 0.0, 1.0, &mut rng);
+        let small_b = Matrix::random_normal(40, 30, 0.0, 1.0, &mut rng);
+        let mut small = Matrix::zeros(20, 30);
+        gemm_accumulate_with(&small_a, &small_b, &mut small, &mut scratch);
+        assert_eq!(small.as_slice(), gemm(&small_a, &small_b).as_slice());
         let mut second = Matrix::zeros(33, 45);
         gemm_accumulate_with(&a, &b, &mut second, &mut scratch);
+        assert_eq!(second.as_slice(), first.as_slice());
         assert_eq!(
             (scratch.a_pack.capacity(), scratch.b_pack.capacity()),
             cap,
